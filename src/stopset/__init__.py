@@ -18,6 +18,7 @@ from .agcode import (
     rs_code,
     scale_columns,
     spec_all_points,
+    weight_enumerator,
 )
 from .curve import (
     INFINITY,

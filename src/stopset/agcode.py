@@ -17,11 +17,11 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 from .curve import EllipticCurve, Point
-from .errors import FieldMismatchError, SizeLimitError
+from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldElement, FieldSpec
 
 DEFAULT_ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
@@ -34,11 +34,21 @@ ROLE_PARITY = "parity-check"
 
 def row_limit(override: int | None = None) -> int:
     """Effective bound on streamed dual rows; the environment variable
-    STOPSET_MAX_ROWS replaces the default, an explicit argument wins."""
+    STOPSET_MAX_ROWS replaces the default, an explicit argument wins.
+
+    Raises ValueError when the variable is not a positive integer."""
     if override is not None:
         return override
     env = os.environ.get(ROW_LIMIT_ENV)
-    return int(env) if env else DEFAULT_ROW_LIMIT
+    if not env:
+        return DEFAULT_ROW_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{ROW_LIMIT_ENV} must be a positive integer, got {env!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -197,26 +207,114 @@ def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[
             yield row
 
 
-@lru_cache(maxsize=None)
-def hstar_support_masks(spec: EllipticCodeSpec, max_rows: int | None = None) -> frozenset[int]:
-    """Distinct support bitmasks of H* rows (bit j-1 = column j).
+@dataclass(frozen=True)
+class DualCensus:
+    """What one pass over H* yields: the distinct row supports (bit j-1 =
+    column j) and the dual weight counts B_0..B_n (B_0 = 1 for the zero
+    word)."""
 
-    Streams one representative per scalar class; scalar multiples share a
-    support, so the mask set equals that of the full H*.
-    """
-    limit = row_limit(max_rows)
+    masks: frozenset[int]
+    dual_weights: tuple[int, ...]
+
+
+def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> DualCensus:
+    """Stream one representative per scalar class of the row space of the
+    independent length-n `rows`; scalar multiples share a support and a
+    weight, so each class adds its mask once and q - 1 to its weight's
+    count."""
+    bits = [1 << j for j in range(n)]
+    masks = set()
+    hist = [0] * (n + 1)
+    for row in _combination_stream(spec, rows, normalized=True):
+        mask = sum(compress(bits, row))
+        masks.add(mask)
+        hist[mask.bit_count()] += 1
+    weights = [(spec.q - 1) * h for h in hist]
+    weights[0] += 1
+    return DualCensus(frozenset(masks), tuple(weights))
+
+
+@lru_cache(maxsize=None)
+def _census(spec: EllipticCodeSpec, limit: int) -> DualCensus:
     q = spec.field.q
     if q ** spec.m > limit:
         raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
-    G = generator_matrix(spec).values()
-    masks = set()
-    for row in _combination_stream(spec.field, G, normalized=True):
-        mask = 0
-        for j, v in enumerate(row):
-            if v:
-                mask |= 1 << j
-        masks.add(mask)
-    return frozenset(masks)
+    return _stream_census(spec.field, generator_matrix(spec).values(), spec.n)
+
+
+def hstar_census(spec: EllipticCodeSpec, max_rows: int | None = None) -> DualCensus:
+    """Support masks and dual weight counts of H*, from one cached pass.
+
+    The cache key carries the resolved row limit, so lowering
+    STOPSET_MAX_ROWS later still applies to a spec seen before."""
+    return _census(spec, row_limit(max_rows))
+
+
+def hstar_support_masks(spec: EllipticCodeSpec, max_rows: int | None = None) -> frozenset[int]:
+    """Distinct support bitmasks of H* rows (bit j-1 = column j)."""
+    return hstar_census(spec, max_rows).masks
+
+
+# callers read the pass's cache statistics under the masks' name
+hstar_support_masks.cache_info = _census.cache_info
+hstar_support_masks.cache_clear = _census.cache_clear
+
+
+# ---------------------------------------------------------------------------
+# weight enumerator by the MacWilliams identity
+
+
+def macwilliams_transform(dual_weights: Sequence[int], q: int, dual_dim: int) -> tuple[int, ...]:
+    """Weight counts A_0..A_n of a code from those of its dual, B_0..B_n,
+    where the dual has q^dual_dim words (MacWilliams 1963):
+
+        q^dual_dim * A_w = sum_i B_i K_w(i),
+        K_w(i) = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j).
+
+    Exact in integers.  Raises IntegrityError when the sum is not divisible
+    by q^dual_dim, some A_w < 0, A_0 != 1 or sum A_w != q^(n - dual_dim).
+    """
+    n = len(dual_weights) - 1
+    scale = q ** dual_dim
+    A = []
+    for w in range(n + 1):
+        total = 0
+        for i, b in enumerate(dual_weights):
+            if b:
+                total += b * sum(
+                    (-1) ** j * (q - 1) ** (w - j) * math.comb(i, j) * math.comb(n - i, w - j)
+                    for j in range(min(i, w) + 1)
+                )
+        if total % scale:
+            raise IntegrityError(f"q^{dual_dim} does not divide the MacWilliams sum for A_{w}")
+        A.append(total // scale)
+    if min(A) < 0:
+        raise IntegrityError(f"negative weight count A_{A.index(min(A))} = {min(A)}")
+    if A[0] != 1:
+        raise IntegrityError(f"A_0 = {A[0]}, not 1")
+    if sum(A) != q ** (n - dual_dim):
+        raise IntegrityError(f"weight counts sum to {sum(A)}, not {q}^{n - dual_dim}")
+    return tuple(A)
+
+
+def weight_enumerator(code: EllipticCodeSpec | CodeMatrix, max_rows: int | None = None) -> tuple[int, ...]:
+    """Weight counts A_0..A_n of a code, by the MacWilliams transform of
+    its dual's weight counts.
+
+    For an EllipticCodeSpec the code is the residue code and its dual
+    counts come from the cached H* pass that also yields the stopping-set
+    masks.  For a CodeMatrix the code is its null space and the dual is
+    its row space.  Guarded by q^(dual dimension) <= the row bound.
+    """
+    if isinstance(code, EllipticCodeSpec):
+        return macwilliams_transform(hstar_census(code, max_rows).dual_weights, code.field.q, code.m)
+    spec = code.spec
+    basis, _ = _rref(spec, code.values())
+    limit = row_limit(max_rows)
+    if spec.q ** len(basis) > limit:
+        raise SizeLimitError(f"{spec.q}^{len(basis)} dual words exceed the bound {limit}")
+    census = _stream_census(spec, basis, code.ncols)
+    return macwilliams_transform(census.dual_weights, spec.q, len(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +410,34 @@ def matrix_rank(M: CodeMatrix) -> int:
     return len(_rref(M.spec, M.values())[0])
 
 
-def null_space(M: CodeMatrix) -> CodeMatrix:
-    """A basis of the right null space of M, as a parity-check-role matrix:
-    its rows span exactly the code checked by M."""
-    spec = M.spec
-    reduced, pivots = _rref(spec, M.values())
-    n = M.ncols
-    free = [c for c in range(n) if c not in pivots]
+def _kernel_basis(spec: FieldSpec, rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Value-level right null space of `rows` (each `width` wide)."""
+    reduced, pivots = _rref(spec, rows)
+    free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [0] * n
+        vec = [0] * width
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = spec.neg_val(reduced[r][fc])
         basis.append(tuple(vec))
-    return _matrix_from_values(spec, basis, ROLE_PARITY)
+    return basis
+
+
+def null_space(M: CodeMatrix) -> CodeMatrix:
+    """A basis of the right null space of M, as a parity-check-role matrix:
+    its rows span exactly the code checked by M."""
+    return _matrix_from_values(M.spec, _kernel_basis(M.spec, M.values(), M.ncols), ROLE_PARITY)
 
 
 def min_distance_bruteforce(M: CodeMatrix, max_words: int | None = None) -> int:
     """Minimum Hamming weight over the nonzero row space of M, found by
     enumerating one representative per scalar class (weight is invariant
-    under scaling).  Guarded by q^rank <= the row bound."""
+    under scaling).  Guarded by q^rank <= the row bound.
+
+    A test oracle: exponential in the code dimension, so no production
+    route calls it; residue codes get their distance from
+    `weight_enumerator` or the column search."""
     spec = M.spec
     basis, _ = _rref(spec, M.values())
     if not basis:
@@ -375,19 +480,6 @@ def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None
     raise ValueError("unreachable: every code has distance <= rank + 1")
 
 
-def _kernel_basis(spec: FieldSpec, rows: list[list[int]], width: int) -> list[tuple[int, ...]]:
-    reduced, pivots = _rref(spec, rows) if rows else ([], [])
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * width
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = spec.neg_val(reduced[r][fc])
-        basis.append(tuple(vec))
-    return basis
-
-
 def _has_full_support_kernel(spec: FieldSpec, rows: list[list[int]], width: int) -> bool:
     basis = _kernel_basis(spec, rows, width)
     if not basis:
@@ -401,14 +493,20 @@ def _has_full_support_kernel(spec: FieldSpec, rows: list[list[int]], width: int)
 def residue_min_distance(spec: EllipticCodeSpec, strategy: str = "auto") -> int:
     """Minimum distance of the residue code, by pure linear algebra.
 
-    'enumerate' walks the codeword space of the null-space basis;
+    'macwilliams' reads the smallest positive weight off the weight
+    enumerator, from the same H* pass as the stopping-set oracle;
     'columns' searches minimal dependent column sets of the evaluation
-    matrix; 'auto' enumerates when q^(n-m) fits the row bound.
+    matrix; 'auto' takes 'macwilliams' when q^m fits the row bound and
+    'columns' otherwise.  'enumerate' walks all q^(n-m) codewords and is
+    kept only as a test oracle.
     """
-    G = generator_matrix(spec)
     if strategy == "auto":
-        feasible = spec.field.q ** (spec.n - spec.m) <= row_limit(None)
-        strategy = "enumerate" if feasible else "columns"
+        feasible = spec.field.q ** spec.m <= row_limit(None)
+        strategy = "macwilliams" if feasible else "columns"
+    if strategy == "macwilliams":
+        A = weight_enumerator(spec)
+        return next(w for w in range(1, spec.n + 1) if A[w])
+    G = generator_matrix(spec)
     if strategy == "enumerate":
         return min_distance_bruteforce(null_space(G))
     if strategy == "columns":

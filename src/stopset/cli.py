@@ -253,6 +253,14 @@ def _verify_instance(spec, samples: int, seed: int, corrupt: int | None, report:
         stoptheory.build_S_m_plus(spec, s_m)
     except IntegrityError as exc:
         mismatches.append({"check": "disjoint-extension", "detail": str(exc)})
+    try:
+        a_m = agcode.weight_enumerator(spec)[spec.m]
+    except IntegrityError as exc:
+        # the minimum distance below reads the same enumerator
+        mismatches.append({"check": "weight-enumerator", "detail": str(exc)})
+        return mismatches
+    if a_m != (spec.field.q - 1) * len(s_m):
+        mismatches.append({"check": "weight-enumerator", "A_m": a_m, "s_m_count": len(s_m)})
     sd = stoptheory.stopping_distance(spec)
     md = agcode.residue_min_distance(spec)
     if sd != md:
@@ -393,6 +401,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        agcode.row_limit()  # a bad STOPSET_MAX_ROWS is a usage error up front
         return args.func(args)
     except VerificationFailure as vf:
         sys.stdout.write(json.dumps(vf.payload, indent=2) + "\n")

@@ -44,16 +44,20 @@ from stopset import (
     scale_columns,
     spec_all_points,
     stopping_distance,
+    weight_enumerator,
 )
 from stopset.agcode import (
+    DEFAULT_ROW_LIMIT,
     is_stopping_set_masks,
     stopping_distribution_from_rows,
     subset_mask,
 )
 from stopset.groupcount import all_groups_of_order, subset_sum_table
+from stopset.ffield import parse_field
 from stopset.stoptheory import (
     build_S_m_plus,
     enumerate_S_m1_direct,
+    is_subgroup_minus_O,
     oracle_agreement_check,
 )
 
@@ -362,3 +366,48 @@ def test_criterion_10(ref):
         dist = stopping_distribution_from_rows(sub, ref.n)
         assert all(a >= b for a, b in zip(dist, golden))
     _done(10, "row deletion only grows the distribution", t0, 60.0)
+
+
+def test_criterion_11(f5, f7):
+    t0 = time.monotonic()
+
+    def check(spec, oracle):
+        A = weight_enumerator(spec)
+        assert A[spec.m] == (spec.field.q - 1) * len(enumerate_S_m(spec, max_n=64)), spec
+        d = next(w for w in range(1, spec.n + 1) if A[w])
+        assert d == residue_min_distance(spec) == oracle(spec), spec
+
+    def brute(spec):
+        # full codeword enumeration where it fits; 13 codes over F_7 exceed 2^22 words
+        if spec.field.q ** (spec.n - spec.m) <= DEFAULT_ROW_LIMIT:
+            return min_distance_bruteforce(null_space(generator_matrix(spec)))
+        return residue_min_distance(spec, "columns")
+
+    def columns(spec):
+        return residue_min_distance(spec, "columns")
+
+    small = 0
+    for field in (f5, f7):
+        for E in nonsingular_curves(field):
+            n = len(rational_points(E)) - 1
+            for m in (2, 3):
+                if m < n:
+                    check(spec_all_points(E, m), brute)
+                    small += 1
+    assert small == 109
+    f25 = parse_field("5,2")
+    for E in random.Random(11).sample(nonsingular_curves(f25), 8):
+        for m in (2, 3):
+            check(spec_all_points(E, m), columns)
+    subsets = 0
+    for field in (f7, FieldSpec(11), FieldSpec(13)):
+        for E in nonsingular_curves(field)[::7]:
+            D = tuple(P for P in rational_points(E) if not P.is_infinity)[::2]
+            if is_subgroup_minus_O(E, D) is not None:
+                continue
+            for m in (2, 3):
+                if m < len(D):
+                    check(EllipticCodeSpec(E, D, m), columns)
+                    subsets += 1
+    assert subsets > 20
+    _done(11, f"A_m = (q-1)#S(m) and MacWilliams distance on {small} + 16 + {subsets} codes", t0, 120.0)

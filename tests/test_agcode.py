@@ -13,6 +13,7 @@ from stopset import (
     EllipticCodeSpec,
     FieldMismatchError,
     FieldSpec,
+    IntegrityError,
     Point,
     SizeLimitError,
     dual_rows,
@@ -28,10 +29,13 @@ from stopset import (
     rs_code,
     scale_columns,
     spec_all_points,
+    weight_enumerator,
 )
 from stopset.agcode import (
     DEFAULT_ROW_LIMIT,
+    hstar_census,
     is_stopping_set_masks,
+    macwilliams_transform,
     matrix_rank,
     min_distance_dependent_columns,
     row_limit,
@@ -159,6 +163,7 @@ def test_null_space_is_orthogonal_complement(ref_spec):
 def test_min_distance_routes_agree(ref_spec):
     assert residue_min_distance(ref_spec, "enumerate") == 3
     assert residue_min_distance(ref_spec, "columns") == 3
+    assert residue_min_distance(ref_spec, "macwilliams") == 3
     assert residue_min_distance(ref_spec) == 3
     with pytest.raises(ValueError):
         residue_min_distance(ref_spec, "guess")
@@ -264,6 +269,24 @@ def test_row_limit_settings(monkeypatch):
     assert row_limit(5) == 5
 
 
+def test_row_limit_rejects_bad_values(monkeypatch):
+    for value in ("0", "-5", "abc", "1.5"):
+        monkeypatch.setenv("STOPSET_MAX_ROWS", value)
+        with pytest.raises(ValueError, match="STOPSET_MAX_ROWS"):
+            row_limit()
+
+
+def test_lowered_row_limit_applies_to_cached_spec(ref_spec, monkeypatch):
+    monkeypatch.delenv("STOPSET_MAX_ROWS", raising=False)
+    assert len(hstar_support_masks(ref_spec)) > 0
+    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+    with pytest.raises(SizeLimitError):
+        hstar_support_masks(ref_spec)
+    with pytest.raises(SizeLimitError):
+        weight_enumerator(ref_spec)
+    assert hstar_support_masks.cache_info().misses >= 1
+
+
 def test_size_guards(ref_spec, monkeypatch):
     with pytest.raises(SizeLimitError):
         list(dual_rows(ref_spec, max_rows=10))
@@ -282,3 +305,52 @@ def test_matrix_validation(f5, f7):
         CodeMatrix(f5, ((f5.element(1),),), "mystery")
     with pytest.raises(FieldMismatchError):
         CodeMatrix(f5, ((f7.element(1),),), "generator")
+
+
+def mds_weights(q, n, k):
+    """Closed-form weight distribution of an MDS [n, k] code over F_q."""
+    d = n - k + 1
+    A = [1] + [0] * n
+    for w in range(d, n + 1):
+        A[w] = math.comb(n, w) * sum(
+            (-1) ** j * math.comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
+        )
+    return tuple(A)
+
+
+def test_weight_enumerator_rs_is_mds():
+    for q in (5, 7):
+        field = FieldSpec(q)
+        for n in range(2, q + 1):
+            for k in range(1, n):
+                G = rs_code(field, n, k)
+                # the RS code is the null space of its dual, null_space(G)
+                assert weight_enumerator(null_space(G)) == mds_weights(q, n, k), (q, n, k)
+                assert weight_enumerator(G) == mds_weights(q, n, n - k), (q, n, k)
+
+
+def test_weight_enumerator_reference(ref_spec):
+    A = weight_enumerator(ref_spec)
+    assert sum(A) == 5 ** (ref_spec.n - ref_spec.m)
+    assert A[:3] == (1, 0, 0)
+    assert A[3] == 4 * 6  # (q - 1) * #S(3)
+    census = hstar_census(ref_spec)
+    assert sum(census.dual_weights) == 5 ** 3
+    assert census.masks == hstar_support_masks(ref_spec)
+
+
+def test_tampered_dual_weights_raise(ref_spec):
+    B = list(hstar_census(ref_spec).dual_weights)
+    n, q, m = ref_spec.n, 5, 3
+    assert macwilliams_transform(B, q, m) == weight_enumerator(ref_spec)
+    for w in range(n + 1):  # one extra word: the sum leaves q^m
+        tampered = B[:]
+        tampered[w] += 1
+        with pytest.raises(IntegrityError, match="does not divide"):
+            macwilliams_transform(tampered, q, m)
+    moved = B[:]  # divisible, but A_0 = 2 and A_1 < 0
+    moved[n] += q ** m
+    with pytest.raises(IntegrityError):
+        macwilliams_transform(moved, q, m)
+    with pytest.raises(SizeLimitError):
+        weight_enumerator(ref_spec, max_rows=10)

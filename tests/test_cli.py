@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from stopset.cli import main
+from stopset.errors import IntegrityError
 
 REF = ["--p", "5", "--a", "1", "--b", "1"]
 # evaluation points listed as successive multiples of (0, 1)
@@ -184,6 +185,65 @@ def test_size_bound_exit(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert "size bound" in captured.err
+
+
+BAD_ROW_LIMITS = ("0", "-5", "abc")
+
+
+def _assert_bad_row_limit(capsys, monkeypatch, argv):
+    for value in BAD_ROW_LIMITS:
+        monkeypatch.setenv("STOPSET_MAX_ROWS", value)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, value
+        assert "STOPSET_MAX_ROWS" in captured.err
+        assert captured.out == ""
+
+
+def test_bad_row_limit_report(capsys, monkeypatch):
+    _assert_bad_row_limit(capsys, monkeypatch, ["report", *REF, "--m", "3"])
+
+
+def test_bad_row_limit_verify(capsys, monkeypatch):
+    _assert_bad_row_limit(capsys, monkeypatch, ["verify", "--max-q", "5", "--max-m", "2"])
+
+
+def test_bad_row_limit_decode(capsys, monkeypatch):
+    _assert_bad_row_limit(capsys, monkeypatch, ["decode", *REF, "--m", "3", "--erased", "1"])
+
+
+def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
+    from stopset import agcode
+
+    real = agcode.weight_enumerator
+
+    def tampered(spec, max_rows=None):
+        A = list(real(spec, max_rows))
+        A[spec.m] += 1
+        return tuple(A)
+
+    monkeypatch.setattr(agcode, "weight_enumerator", tampered)
+    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    flagged = [rec for rec in doc["mismatches"] if rec.get("check") == "weight-enumerator"]
+    assert len(flagged) == doc["instances"]
+    assert all(rec["A_m"] == 4 * rec["s_m_count"] + 1 for rec in flagged)
+
+
+def test_verify_broken_enumerator_is_a_mismatch(capsys, monkeypatch):
+    from stopset import agcode
+
+    def broken(spec, max_rows=None):
+        raise IntegrityError("A_0 = 2, not 1")
+
+    monkeypatch.setattr(agcode, "weight_enumerator", broken)
+    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["mismatch_count"] == doc["instances"]
+    assert doc["mismatches"][0]["check"] == "weight-enumerator"
 
 
 def test_console_entry_point():
