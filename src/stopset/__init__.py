@@ -36,7 +36,7 @@ from .curve import (
 )
 from .decoder import ErasureInstance, make_instance, peel, residual_is_stopping
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import FieldElement, FieldSpec, enumerate_field, parse_field, sqrt
+from .ffield import FieldElement, FieldSpec, parse_field, sqrt
 from .groupcount import (
     AbelianGroup,
     GroupElement,

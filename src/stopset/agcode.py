@@ -72,6 +72,12 @@ class EllipticCodeSpec:
             if P in seen:
                 raise ValueError(f"duplicate evaluation point {P!r}")
             seen.add(P)
+        # the generated hash would re-hash every point of D on each call,
+        # which costs more than the per-spec cache lookups it keys
+        object.__setattr__(self, "_hash", hash((self.curve, self.D, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -329,6 +335,14 @@ def subset_mask(S: Iterable[int]) -> int:
     return mask
 
 
+def support_masks(rows: Iterable[Sequence]) -> frozenset[int]:
+    """Distinct nonzero row supports as bitmasks (bit j-1 = column j); rows
+    may contain FieldElement or plain integer entries."""
+    masks = {sum(1 << j for j, v in enumerate(row) if v) for row in rows}
+    masks.discard(0)
+    return frozenset(masks)
+
+
 def is_stopping_set_oracle(rows: Iterable[Sequence], S: Iterable[int]) -> bool:
     """True when no row restricted to S has weight exactly 1.
 
@@ -363,14 +377,7 @@ def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distri
     """
     if n > 20:
         raise SizeLimitError(f"2^{n} subsets exceed the oracle sweep bound")
-    masks = set()
-    for row in rows:
-        mask = 0
-        for j in range(n):
-            if row[j]:
-                mask |= 1 << j
-        masks.add(mask)
-    masks.discard(0)
+    masks = support_masks(rows)
     counts = [0] * (n + 1)
     for s in range(1 << n):
         if is_stopping_set_masks(masks, s):

@@ -16,8 +16,8 @@ from itertools import combinations
 from . import agcode, decoder, stoptheory
 from .curve import EllipticCurve, group_structure, parse_point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import parse_element, parse_field
-from .groupcount import AbelianGroup, count_formula, is_prime
+from .ffield import is_prime, parse_element, parse_field
+from .groupcount import AbelianGroup, count_formula
 from .stoptheory import classify
 
 
@@ -28,7 +28,8 @@ class VerificationFailure(Exception):
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write to --out or stdout: a str as it is, anything else as JSON."""
+    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
@@ -37,16 +38,8 @@ def _emit(obj, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(rows: list[tuple], header: tuple, args) -> None:
-    lines = [",".join(str(c) for c in header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _distribution_csv(dist) -> str:
+    return "size,count\n" + "".join(f"{i},{t}\n" for i, t in enumerate(dist))
 
 
 def _curve_from_args(args) -> EllipticCurve:
@@ -153,7 +146,7 @@ def _cmd_report(args) -> int:
     spec = _spec_from_args(args)
     rep = stoptheory.build_report(spec, seed=args.seed)
     if args.format == "csv":
-        _emit_csv(list(enumerate(rep.distribution)), ("size", "count"), args)
+        _emit(_distribution_csv(rep.distribution), args)
         return 0
     payload = {
         "schema": 1,
@@ -175,7 +168,7 @@ def _cmd_report(args) -> int:
 def _cmd_mds(args) -> int:
     dist = agcode.mds_distribution(args.n, args.k)
     if args.format == "csv":
-        _emit_csv(list(enumerate(dist)), ("size", "count"), args)
+        _emit(_distribution_csv(dist), args)
         return 0
     payload = {"schema": 1, "n": args.n, "k": args.k, "distribution": list(dist)}
     _emit(payload, args)
@@ -276,15 +269,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     row_idx = corrupt % len(rows)
     col_idx = corrupt % spec.n
     rows[row_idx][col_idx] = rows[row_idx][col_idx] + f.one()
-    masks = set()
-    for row in rows:
-        mask = 0
-        for j, e in enumerate(row):
-            if e.value:
-                mask |= 1 << j
-        masks.add(mask)
-    masks.discard(0)
-    return frozenset(masks)
+    return agcode.support_masks(rows)
 
 
 def _verify_specs(max_q: int, max_m: int):

@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import FieldMismatchError, IntegrityError
 from .ffield import FieldElement, FieldSpec, parse_element, sqrt
@@ -156,27 +157,31 @@ def point_order(E: EllipticCurve, P: Point) -> int:
     return n
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupStructure:
     """E(F_q) as Z/m1 x Z/m2 with m1 | m2.
 
     generators holds (g1, g2) with g1 of order m1 and g2 of order m2; g1 is
     Infinity when m1 = 1.  coordinate_map sends each point P to the unique
-    (c1, c2) with P = [c1]g1 + [c2]g2, 0 <= c1 < m1, 0 <= c2 < m2.
+    (c1, c2) with P = [c1]g1 + [c2]g2, 0 <= c1 < m1, 0 <= c2 < m2.  The map
+    is read-only, because group_structure hands one cached value to every
+    caller.
     """
 
     m1: int
     m2: int
     generators: tuple[Point, Point]
-    coordinate_map: dict[Point, tuple[int, int]]
+    coordinate_map: Mapping[Point, tuple[int, int]]
 
     @property
     def order(self) -> int:
         return self.m1 * self.m2
 
 
+@lru_cache(maxsize=None)
 def group_structure(E: EllipticCurve) -> GroupStructure:
-    """Brute-force invariant factors by order census and generator search.
+    """Brute-force invariant factors by order census and generator search;
+    computed once per curve.
 
     The coordinate map is built by enumerating all m1*m2 combinations of the
     candidate generators; hitting every point exactly once certifies that the
@@ -224,7 +229,7 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
                 break
     if coord is None or len(coord) != N:
         raise IntegrityError("no generator pair produced a full coordinate map")
-    return GroupStructure(m1, m2, (g1, g2), coord)
+    return GroupStructure(m1, m2, (g1, g2), MappingProxyType(coord))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ _SQRT_TABLE_BOUND = 2 ** 16  # below this, square roots come from a full table
 _OP_TABLE_BOUND = 2 ** 10  # below this, extension fields cache q*q op tables
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Trial division; fine at desk scale."""
     if n < 2:
         return False
     d = 2
@@ -106,7 +107,7 @@ class FieldSpec:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         if self.k < 1:
             raise ValueError("extension degree must be >= 1")
@@ -377,11 +378,6 @@ class FieldElement:
 def sqrt(a: FieldElement) -> set[FieldElement]:
     """The set of square roots of a: empty, one, or two elements."""
     return {FieldElement(a.spec, r) for r in a.spec.sqrt_vals(a.value)}
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All elements of the field, zero first, in canonical order."""
-    return spec.elements()
 
 
 # ---------------------------------------------------------------------------

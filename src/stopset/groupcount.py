@@ -16,17 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import IntegrityError
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .ffield import is_prime
 
 
 def factorize(n: int) -> dict[int, int]:

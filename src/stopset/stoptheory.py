@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import agcode
 from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks, subset_mask
-from .curve import INFINITY, EllipticCurve, GroupStructure, Point, _add_unchecked, group_structure, point_order, rational_points
+from .curve import EllipticCurve, GroupStructure, Point, group_structure
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup, count_S_m, subset_sum_table
 
@@ -66,24 +66,22 @@ class StoppingStatus:
 
 
 @lru_cache(maxsize=None)
-def _sum_context(spec: EllipticCodeSpec):
-    """Per-spec fast addition context: every rational point gets an index,
-    addition becomes a table lookup, D maps to point indices."""
-    pts = rational_points(spec.curve)
-    index = {P: i for i, P in enumerate(pts)}  # infinity gets index 0
-    table = tuple(
-        tuple(index[_add_unchecked(spec.curve, P, Q)] for Q in pts) for P in pts
-    )
-    d_idx = tuple(index[P] for P in spec.D)
-    return d_idx, table
+def _sum_context(spec: EllipticCodeSpec) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """Per-spec group context: the invariant factors (m1, m2) of the curve
+    group and the coordinate pair of each point of D in Z/m1 x Z/m2, so
+    every sum of points is a componentwise sum mod (m1, m2)."""
+    gs = group_structure(spec.curve)
+    return (gs.m1, gs.m2), tuple(gs.coordinate_map[P] for P in spec.D)
 
 
-def _subset_sum_index(spec: EllipticCodeSpec, A: Sequence[int]) -> int:
-    d_idx, table = _sum_context(spec)
-    acc = 0  # index of infinity
+def _total(moduli: tuple[int, int], coords: Sequence[tuple[int, int]], A: Iterable[int]) -> tuple[int, int]:
+    """Coordinates of the sum of the points at positions A (1-based)."""
+    s1 = s2 = 0
     for i in A:
-        acc = table[acc][d_idx[i - 1]]
-    return acc
+        c1, c2 = coords[i - 1]
+        s1 += c1
+        s2 += c2
+    return s1 % moduli[0], s2 % moduli[1]
 
 
 def _check_indices(spec: EllipticCodeSpec, A: Iterable[int]) -> tuple[int, ...]:
@@ -106,15 +104,15 @@ def classify(spec: EllipticCodeSpec, A: Iterable[int]) -> StoppingStatus:
         return StoppingStatus(Verdict.NOT_STOPPING_BY_SIZE)
     if len(A) >= m + 2:
         return StoppingStatus(Verdict.STOPPING_BY_SIZE)
-    d_idx, _ = _sum_context(spec)
-    total = _subset_sum_index(spec, A)
+    moduli, coords = _sum_context(spec)
+    total = _total(moduli, coords, A)
     if len(A) == m:
-        if total == 0:
+        if total == (0, 0):
             return StoppingStatus(Verdict.STOPPING_SUM_ZERO)
         return StoppingStatus(Verdict.NOT_STOPPING_SUM_NONZERO)
     # size m + 1: sum(A \ {i}) = O exactly when P_i equals the full sum
     for i in A:
-        if d_idx[i - 1] == total:
+        if coords[i - 1] == total:
             return StoppingStatus(Verdict.NOT_STOPPING_INTERIOR_ZERO, witness=i)
     return StoppingStatus(Verdict.STOPPING_NO_INTERIOR_ZERO)
 
@@ -123,15 +121,19 @@ def enumerate_S_m(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_N) -> li
     """All size-m stopping sets, in lexicographic order."""
     if spec.n > max_n:
         raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {max_n}")
-    d_idx, table = _sum_context(spec)
-    out = []
-    for A in combinations(range(1, spec.n + 1), spec.m):
-        acc = 0
-        for i in A:
-            acc = table[acc][d_idx[i - 1]]
-        if acc == 0:
-            out.append(A)
-    return out
+    (m1, m2), coords = _sum_context(spec)
+    m = spec.m
+    # pack (c1, c2) as c1 * M + c2 with M above any sum of m second
+    # coordinates, so one integer sum carries both; the zero sums are then
+    # the packed (i * m1, j * m2) with i, j < m
+    M = m * m2
+    packed = [c1 * M + c2 for c1, c2 in coords]
+    zeros = {i * m1 * M + j * m2 for i in range(m) for j in range(m)}
+    return [
+        A
+        for A, vals in zip(combinations(range(1, spec.n + 1), m), combinations(packed, m))
+        if sum(vals) in zeros
+    ]
 
 
 def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -179,11 +181,11 @@ def enumerate_S_m1_direct(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_
 def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Invert the extension map: each member I of S+(m) sums to one of its
     own points P_j, and dropping that j returns the size-m stopping set."""
-    d_idx, _ = _sum_context(spec)
+    moduli, coords = _sum_context(spec)
     out = set()
     for I in S_plus:
-        total = _subset_sum_index(spec, I)
-        j = next((i for i in I if d_idx[i - 1] == total), None)
+        total = _total(moduli, coords, I)
+        j = next((i for i in I if coords[i - 1] == total), None)
         if j is None:
             raise IntegrityError(f"{I} does not sum to any of its own points")
         out.add(tuple(i for i in I if i != j))
@@ -196,13 +198,10 @@ def count_S_m_of_spec(spec: EllipticCodeSpec, enum_threshold: int = 10 ** 6) -> 
     the curve group."""
     if math.comb(spec.n, spec.m) <= enum_threshold and spec.n <= DEFAULT_ENUM_MAX_N:
         return len(enumerate_S_m(spec))
-    gs = group_structure(spec.curve)
-    G = AbelianGroup.from_cyclic_factors((gs.m1, gs.m2))
-    coords = []
-    for P in spec.D:
-        pair = gs.coordinate_map[P]
-        coords.append(G.element(c for c, d in zip(pair, (gs.m1, gs.m2)) if d != 1))
-    table = subset_sum_table(coords)
+    moduli, coords = _sum_context(spec)
+    G = AbelianGroup.from_cyclic_factors(moduli)
+    elements = [G.element(c for c, d in zip(pair, moduli) if d != 1) for pair in coords]
+    table = subset_sum_table(elements)
     return table[spec.m].get(G.identity().coords, 0)
 
 
@@ -240,25 +239,34 @@ def distribution(spec: EllipticCodeSpec, source: str = "enumerate") -> Distribut
 
 def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGroup | None:
     """If D together with infinity is closed under addition, return that
-    subgroup's invariant factors, else None."""
-    pts = set(D)
-    if INFINITY in pts:
+    subgroup's invariant factors, else None.
+
+    Works on the coordinates of D in Z/m1 x Z/m2; raises ValueError when a
+    point of D is not on the curve."""
+    gs = group_structure(curve)
+    m1, m2 = gs.m1, gs.m2
+    pts = set()
+    for P in D:
+        if P not in gs.coordinate_map:
+            raise ValueError(f"{P!r} is not on {curve!r}")
+        pts.add(gs.coordinate_map[P])
+    if (0, 0) in pts:
         return None
-    full = pts | {INFINITY}
-    for P in pts:
-        for Q in pts:
-            if _add_unchecked(curve, P, Q) not in full:
+    full = pts | {(0, 0)}
+    for a1, a2 in pts:
+        for b1, b2 in pts:
+            if ((a1 + b1) % m1, (a2 + b2) % m2) not in full:
                 return None
     h = len(full)
     exponent = 1
-    for P in pts:
-        exponent = math.lcm(exponent, point_order(curve, P))
+    for c1, c2 in pts:
+        exponent = math.lcm(exponent, m1 // math.gcd(c1, m1), m2 // math.gcd(c2, m2))
     if h % exponent:
         raise IntegrityError("subgroup exponent does not divide its order")
-    m1 = h // exponent
-    if exponent % m1:
+    first = h // exponent
+    if exponent % first:
         raise IntegrityError("subgroup is not of rank <= 2")
-    return AbelianGroup.from_cyclic_factors((m1, exponent))
+    return AbelianGroup.from_cyclic_factors((first, exponent))
 
 
 # ---------------------------------------------------------------------------

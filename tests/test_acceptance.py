@@ -51,6 +51,7 @@ from stopset.agcode import (
     is_stopping_set_masks,
     stopping_distribution_from_rows,
     subset_mask,
+    support_masks,
 )
 from stopset.groupcount import all_groups_of_order, subset_sum_table
 from stopset.ffield import parse_field
@@ -91,18 +92,6 @@ def value_combos(field, rows):
             for s in scaled
         ]
     return words
-
-
-def masks_of(words):
-    out = set()
-    for w in words:
-        mask = 0
-        for j, v in enumerate(w):
-            if v:
-                mask |= 1 << j
-        out.add(mask)
-    out.discard(0)
-    return frozenset(out)
 
 
 def exhaustive_counts(G):
@@ -308,7 +297,7 @@ def test_criterion_07(ref):
             recovered, residual = peel(star, inst)
             blocked = any(s <= set(S) for s in family) or size >= 5
             assert (residual == frozenset()) == (not blocked), S
-            assert is_stopping_set_masks(masks_of([tuple(e.value for e in r) for r in star]), subset_mask(residual)) or not residual
+            assert is_stopping_set_masks(support_masks([tuple(e.value for e in r) for r in star]), subset_mask(residual)) or not residual
             for j in range(1, 9):
                 if j not in residual:
                     assert recovered[j - 1] == codeword[j - 1]
@@ -345,12 +334,12 @@ def test_criterion_09(ref):
                 verdicts.append(is_stopping_set_masks(masks, subset_mask(S)))
         return verdicts
 
-    baseline = family(masks_of(value_combos(f, G.values())))
+    baseline = family(support_masks(value_combos(f, G.values())))
     rng = random.Random(9)
     for _ in range(5):
         scalars = tuple(f.element(rng.randrange(1, f.q)) for _ in range(G.ncols))
         scaled = scale_columns(G, scalars)
-        assert family(masks_of(value_combos(f, scaled.values()))) == baseline
+        assert family(support_masks(value_combos(f, scaled.values()))) == baseline
     _done(9, "column scaling never moves the stopping family", t0, 60.0)
 
 

@@ -8,7 +8,6 @@ from stopset.errors import FieldMismatchError, SizeLimitError
 from stopset.ffield import (
     FieldElement,
     FieldSpec,
-    enumerate_field,
     field_str,
     parse_element,
     parse_field,
@@ -67,7 +66,7 @@ def test_f25_multiplication_matches_naive_oracle():
 @pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (7, 1), (3, 2), (2, 4)])
 def test_enumeration_zero_first_all_distinct(p, k):
     spec = FieldSpec(p, k)
-    elems = enumerate_field(spec)
+    elems = spec.elements()
     assert len(elems) == p ** k
     assert elems[0].is_zero()
     assert len(set(elems)) == len(elems)

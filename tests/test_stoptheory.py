@@ -7,14 +7,17 @@ import random
 import pytest
 
 from stopset import (
+    INFINITY,
     AbelianGroup,
     EllipticCodeSpec,
     FieldSpec,
     IntegrityError,
+    Point,
     SizeLimitError,
     StoppingStatus,
     Verdict,
     build_S_m_plus,
+    add,
     build_report,
     classify,
     count_S_m,
@@ -25,13 +28,16 @@ from stopset import (
     group_structure,
     is_subgroup_minus_O,
     oracle_agreement_check,
+    point_order,
     rational_points,
     recover_S_m,
     scalar_mul,
     spec_all_points,
     stopping_distance,
+    sum_points,
 )
 from stopset.stoptheory import (
+    _sum_context,
     count_S_m_of_spec,
     enumerate_S_m1_direct,
     sample_subsets,
@@ -239,3 +245,88 @@ def test_report(ref_spec):
     skipped = build_report(ref_spec, include_sets=False, oracle_check=False)
     assert skipped.S_m is None
     assert skipped.oracle_agreement is None
+
+
+# -- the coordinate route against the curve law -------------------------------
+
+
+def closure_reference(E, D):
+    """The curve-law subgroup test: D with infinity closed under chord-and-
+    tangent addition, invariant factors from the point orders."""
+    pts = set(D)
+    if INFINITY in pts:
+        return None
+    full = pts | {INFINITY}
+    if any(add(E, P, Q) not in full for P in pts for Q in pts):
+        return None
+    exponent = math.lcm(1, *(point_order(E, P) for P in pts))
+    return AbelianGroup.from_cyclic_factors((len(full) // exponent, exponent))
+
+
+def curve_law_stopping(spec, A):
+    """Whether a size-m or size-(m+1) subset stops, from sum_points."""
+    pts = [spec.D[i - 1] for i in A]
+    if len(A) == spec.m:
+        return sum_points(spec.curve, pts) == INFINITY
+    return all(sum_points(spec.curve, pts[:k] + pts[k + 1:]) != INFINITY for k in range(len(pts)))
+
+
+def evaluation_sets(E):
+    """D = all affine points, a torsion subgroup minus O, every second
+    point.  The torsion is E[e/p] for the exponent e and its least prime
+    factor p, which is rank two whenever E(F_q) is and p divides m1."""
+    affine = rational_points(E)[1:]
+    e = math.lcm(*(point_order(E, P) for P in affine))
+    d = e // min(p for p in range(2, e + 1) if e % p == 0)
+    torsion = tuple(P for P in affine if scalar_mul(E, d, P) == INFINITY)
+    return {"all": affine, "torsion": torsion, "every-second": affine[::2]}
+
+
+def curves_for(field_text, rng):
+    field = FieldSpec(*(int(t) for t in field_text.split(",")))
+    curves = nonsingular_curves(field)
+    return curves if field.k == 1 else rng.sample(curves, 3)
+
+
+@pytest.mark.parametrize("field_text", ["5", "7", "5,2", "7,2"])
+def test_coordinate_route_matches_curve_law(field_text):
+    rng = random.Random(field_text)
+    for E in curves_for(field_text, rng):
+        for kind, D in evaluation_sets(E).items():
+            want = closure_reference(E, D)
+            assert is_subgroup_minus_O(E, D) == want, (E, kind)
+            assert want is not None or kind == "every-second"
+            for m in {2, 3} & set(range(1, len(D))):
+                spec = EllipticCodeSpec(E, D, m)
+                for size in (m, m + 1):
+                    if size > spec.n:
+                        continue
+                    for _ in range(10):
+                        A = sorted(rng.sample(range(1, spec.n + 1), size))
+                        status = classify(spec, A)
+                        assert status.is_stopping == curve_law_stopping(spec, A), (E, kind, A)
+                        if status.witness is not None:
+                            rest = [spec.D[i - 1] for i in A if i != status.witness]
+                            assert sum_points(E, rest) == INFINITY
+
+
+def test_equal_specs_share_one_context(f7):
+    E = curve(f7, 3, 2)
+    first = spec_all_points(E, 2)
+    second = EllipticCodeSpec(E, tuple(first.D), 2)
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    before = _sum_context.cache_info().currsize
+    assert _sum_context(first) is _sum_context(second)
+    assert _sum_context.cache_info().currsize <= before + 1
+    misses = group_structure.cache_info().misses
+    build_report(first)
+    build_report(EllipticCodeSpec(E, first.D[:-1], 3))
+    assert group_structure.cache_info().misses == misses
+
+
+def test_subgroup_test_rejects_off_curve_points(ref_spec, f5):
+    stray = Point(f5.element(0), f5.element(0))  # 0 != 0^3 + 0 + 1
+    assert not ref_spec.curve.is_on_curve(stray)
+    with pytest.raises(ValueError):
+        is_subgroup_minus_O(ref_spec.curve, ref_spec.D + (stray,))
