@@ -170,11 +170,8 @@ def _combination_stream(
     """
     q = spec.q
     n = len(rows[0]) if rows else 0
-    add = spec.add_val
-    pre = [
-        [tuple(spec.mul_val(c, v) for v in row) for c in range(q)]
-        for row in rows
-    ]
+    add, mul = spec.val_ops()
+    pre = [[tuple(mul(c, v) for v in row) for c in range(q)] for row in rows]
 
     def walk(level: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(rows):
@@ -182,7 +179,7 @@ def _combination_stream(
             return
         for c in range(q):
             scaled = pre[level][c]
-            nxt = acc if c == 0 else tuple(add(a, s) for a, s in zip(acc, scaled))
+            nxt = acc if c == 0 else tuple(map(add, acc, scaled))
             yield from walk(level + 1, nxt)
 
     zero = (0,) * n
@@ -194,22 +191,20 @@ def _combination_stream(
         yield from walk(lead + 1, base)
 
 
-def dual_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[FieldElement, ...]]:
-    """Stream all q^m words of the dual (the evaluation code), zero first."""
+def dual_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Stream all q^m words of the dual (the evaluation code) as canonical
+    value tuples, zero first, in coefficient-odometer order."""
     limit = row_limit(max_rows)
     q = spec.field.q
     if q ** spec.m > limit:
         raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
-    G = generator_matrix(spec).values()
-    f = spec.field
-    for row in _combination_stream(f, G, normalized=False):
-        yield tuple(FieldElement(f, v) for v in row)
+    yield from _combination_stream(spec.field, generator_matrix(spec).values(), normalized=False)
 
 
-def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[FieldElement, ...]]:
-    """Stream H*: the q^m - 1 nonzero dual words."""
+def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Stream H*: the q^m - 1 nonzero dual words, as value tuples."""
     for row in dual_rows(spec, max_rows):
-        if any(e.value for e in row):
+        if any(row):
             yield row
 
 

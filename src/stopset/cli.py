@@ -195,8 +195,7 @@ def _cmd_decode(args) -> int:
         word = [parse_element(f, t) for t in args.codeword.split(",")]
     erased = [int(i) for i in args.erased.split(",") if i.strip()]
     instance = decoder.make_instance(spec, word, erased)
-    rows = list(agcode.hstar_rows(spec))
-    recovered, residual = decoder.peel(rows, instance)
+    recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
     payload = {
         "schema": 1,
         **_curve_header(spec.curve),
@@ -268,7 +267,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     rows = [list(r) for r in agcode.hstar_rows(spec)]
     row_idx = corrupt % len(rows)
     col_idx = corrupt % spec.n
-    rows[row_idx][col_idx] = rows[row_idx][col_idx] + f.one()
+    rows[row_idx][col_idx] = f.add_val(rows[row_idx][col_idx], 1)
     return agcode.support_masks(rows)
 
 

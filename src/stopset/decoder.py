@@ -1,19 +1,24 @@
 """Iterative peeling decoder for erasures.
 
-Each pass streams the parity-check rows; any row meeting the erased set in
-exactly one position solves that position.  The decoder stalls exactly on
-the maximal stopping subset of the erased set when run over the full dual
-codebook, which is what ties decoding behaviour to stopping sets.
+Parity-check rows are tuples of canonical field values, as `hstar_rows`
+streams them.  Any row meeting the erased set in exactly one position
+solves that position.  The first pass reads the rows once, so a one-shot
+stream is enough; each later pass revisits only the rows that still met two
+or more erased positions.  The decoder stalls exactly on the maximal
+stopping subset of the erased set when run over the full dual codebook,
+which is what ties decoding behaviour to stopping sets.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Sequence
 
 from .agcode import EllipticCodeSpec, generator_matrix, is_stopping_set_oracle
 from .errors import IntegrityError
-from .ffield import FieldElement
+from .ffield import FieldElement, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -33,17 +38,34 @@ def make_instance(spec: EllipticCodeSpec, codeword: Sequence[FieldElement], eras
     word = tuple(codeword)
     if len(word) != spec.n:
         raise ValueError(f"codeword length {len(word)} != n = {spec.n}")
-    f = spec.field
-    for row in generator_matrix(spec).entries:
-        syndrome = 0
-        for h, c in zip(row, word):
-            syndrome = f.add_val(syndrome, f.mul_val(h.value, c.value))
-        if syndrome:
+    dot = _dot(spec.field)
+    values = [c.value for c in word]
+    for row in generator_matrix(spec).values():
+        if dot(row, values):
             raise IntegrityError("word is not in the code (nonzero syndrome)")
     return ErasureInstance(word, frozenset(erased))
 
 
-def _each_pass(rows) -> Iterable[Sequence[FieldElement]]:
+def _dot(f: FieldSpec) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """Inner product of two value tuples over f."""
+    if f.k == 1:
+        p = f.p
+        return lambda a, b: sum(map(operator.mul, a, b)) % p
+    add, mul = f.val_ops()
+    return lambda a, b: reduce(add, map(mul, a, b), 0)
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A row's entries at `positions`, always as a tuple."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    if positions:
+        j = positions[0]
+        return lambda row: (row[j],)
+    return lambda row: ()
+
+
+def _stream(rows) -> Iterable[Sequence[int]]:
     return rows() if callable(rows) else rows
 
 
@@ -54,46 +76,54 @@ def peel(
 ) -> tuple[list[FieldElement | None], frozenset[int]]:
     """Run peeling passes until stable.
 
-    rows is a sequence of parity-check rows, or a zero-argument callable
-    returning a fresh stream per pass.  Returns (recovered vector, residual
-    erased positions); unrecovered slots hold None.  A fully known row with
-    nonzero syndrome raises IntegrityError: the input was not a codeword.
+    rows holds parity-check rows as value tuples: a list, a one-shot
+    iterable such as `hstar_rows(spec)`, or a zero-argument callable
+    returning one.  It is read once; later passes revisit only the rows
+    that still met two or more erased positions.  Returns (recovered
+    vector, residual erased positions); unrecovered slots hold None.  A row
+    is checked once, on the first visit that finds it fully known (known
+    values never change): a nonzero syndrome raises IntegrityError, the
+    input was not a codeword.
     """
     n = len(instance.codeword)
     if max_passes is None:
         max_passes = n
     f = instance.codeword[0].spec
-    values: list[int | None] = [
-        None if (j + 1) in instance.erased else instance.codeword[j].value for j in range(n)
-    ]
-    erased = {j - 1 for j in instance.erased}
+    dot = _dot(f)
+    # erased slots hold 0, so a row's syndrome on its known positions is a
+    # plain inner product
+    values = [0 if j in instance.erased else c.value for j, c in enumerate(instance.codeword, 1)]
+    unknown_at = sorted(j - 1 for j in instance.erased)
+    pending = _stream(rows)
     for _ in range(max_passes):
+        pick = _picker(unknown_at)
         progressed = False
-        for row in _each_pass(rows):
-            unknown = [j for j in erased if row[j].value]
-            if len(unknown) > 1:
+        kept = []
+        for row in pending:
+            at = pick(row)
+            zeros = at.count(0)
+            if zeros < len(at) - 1:  # two or more unknowns
+                kept.append(row)
                 continue
-            syndrome = 0
-            for j, h in enumerate(row):
-                if h.value and values[j] is not None:
-                    syndrome = f.add_val(syndrome, f.mul_val(h.value, values[j]))
-            if not unknown:
+            syndrome = dot(row, values)
+            if zeros == len(at):
                 if syndrome:
                     raise IntegrityError("known positions violate a parity check")
                 continue
-            j = unknown[0]
-            values[j] = f.mul_val(f.neg_val(syndrome), f.inv_val(row[j].value))
-            erased.discard(j)
+            j = unknown_at.pop(next(i for i, v in enumerate(at) if v))
+            values[j] = f.mul_val(f.neg_val(syndrome), f.inv_val(row[j]))
+            pick = _picker(unknown_at)
             progressed = True
+        pending = kept
         if not progressed:
             break
     recovered: list[FieldElement | None] = [
-        None if v is None else FieldElement(f, v) for v in values
+        None if j in unknown_at else FieldElement(f, v) for j, v in enumerate(values)
     ]
-    return recovered, frozenset(j + 1 for j in erased)
+    return recovered, frozenset(j + 1 for j in unknown_at)
 
 
 def residual_is_stopping(rows, residual: Iterable[int]) -> bool:
     """The stall certificate: the residual must be a stopping set of the
     rows the decoder ran over."""
-    return is_stopping_set_oracle(_each_pass(rows), residual)
+    return is_stopping_set_oracle(_stream(rows), residual)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatchError, SizeLimitError
 
@@ -235,6 +235,19 @@ class FieldSpec:
             base = self.mul_val(base, base)
             e >>= 1
         return result
+
+    def val_ops(self) -> "tuple[Callable[[int, int], int], Callable[[int, int], int]]":
+        """(add, mul) on canonical values as plain functions, resolved once
+        for loops that call them per entry: no method dispatch and no
+        per-call table lookup."""
+        if self.k == 1:
+            p = self.p
+            return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+        tables = _op_tables(self)
+        if tables is None:
+            return self.add_val, self.mul_val
+        add, mul = tables
+        return (lambda a, b: add[a][b]), (lambda a, b: mul[a][b])
 
     def sqrt_vals(self, a: int) -> tuple[int, ...]:
         """All square roots of the value a, sorted, possibly empty."""

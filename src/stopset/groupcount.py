@@ -231,11 +231,14 @@ def count_S_m(G: AbelianGroup, m: int) -> int:
     return count_formula(G, m, G.identity())
 
 
-def subset_sum_table(elements: Sequence[GroupElement]) -> list[dict[tuple[int, ...], int]]:
-    """table[k][coords] = number of k-subsets of `elements` summing there.
+def subset_sum_table(
+    elements: Sequence[GroupElement], top: int | None = None
+) -> list[dict[tuple[int, ...], int]]:
+    """table[k][coords] = number of k-subsets of `elements` summing there,
+    for k = 0..top (default: every size up to len(elements)).
 
-    One dynamic-programming pass over (index, size, sum); the elements must
-    be distinct members of one group.
+    One dynamic-programming pass over (index, size, sum) that never fills a
+    layer above `top`; the elements must be distinct members of one group.
     """
     if not elements:
         raise ValueError("need at least one element")
@@ -245,10 +248,14 @@ def subset_sum_table(elements: Sequence[GroupElement]) -> list[dict[tuple[int, .
             raise ValueError("elements of different groups")
     if len(set(elements)) != len(elements):
         raise ValueError("elements must be distinct")
-    table: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(len(elements) + 1)]
+    if top is None:
+        top = len(elements)
+    if not 0 <= top <= len(elements):
+        raise ValueError(f"top layer {top} outside [0, {len(elements)}]")
+    table: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(top + 1)]
     table[0][G.identity().coords] = 1
     for idx, g in enumerate(elements):
-        for k in range(idx + 1, 0, -1):
+        for k in range(min(idx + 1, top), 0, -1):
             if not table[k - 1]:
                 continue
             bucket = table[k]
@@ -264,7 +271,7 @@ def dp_count(elements: Sequence[GroupElement], k: int, b: GroupElement) -> int:
     """Definitional count of k-subsets of `elements` summing to b."""
     if not 0 <= k <= len(elements):
         raise ValueError(f"subset size {k} outside [0, {len(elements)}]")
-    return subset_sum_table(elements)[k].get(b.coords, 0)
+    return subset_sum_table(elements, k)[k].get(b.coords, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,7 @@ def count_S_m_of_spec(spec: EllipticCodeSpec, enum_threshold: int = 10 ** 6) -> 
     moduli, coords = _sum_context(spec)
     G = AbelianGroup.from_cyclic_factors(moduli)
     elements = [G.element(c for c, d in zip(pair, moduli) if d != 1) for pair in coords]
-    table = subset_sum_table(elements)
-    return table[spec.m].get(G.identity().coords, 0)
+    return subset_sum_table(elements, spec.m)[spec.m].get(G.identity().coords, 0)
 
 
 def stopping_distance(spec: EllipticCodeSpec) -> int:

@@ -212,6 +212,22 @@ def test_bad_row_limit_decode(capsys, monkeypatch):
     _assert_bad_row_limit(capsys, monkeypatch, ["decode", *REF, "--m", "3", "--erased", "1"])
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--erased", "0"], "erased position 0 outside [1, 8]"),
+        (["--erased", "1,x"], "invalid literal"),
+        (["--erased", "1", "--codeword", "0,0,0"], "codeword length 3 != n = 8"),
+        (["--erased", "1", "--codeword", "1,0,0,0,0,0,0,0"], "not in the code"),
+    ],
+)
+def test_decode_bad_input_exits_2(capsys, extra, message):
+    assert main(["decode", *REF, "--m", "3", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
     from stopset import agcode
 

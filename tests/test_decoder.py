@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import io
 import itertools
 import random
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from stopset import (
+    EllipticCodeSpec,
+    EllipticCurve,
     ErasureInstance,
+    FieldSpec,
     IntegrityError,
+    dual_rows,
     enumerate_S_m1,
     generator_matrix,
     hstar_rows,
     make_instance,
     null_space,
     peel,
+    rational_points,
     residual_is_stopping,
 )
+from stopset.cli import main
 
 STOPPING_3 = [
     (1, 2, 6), (1, 3, 5), (2, 3, 4), (3, 7, 8), (4, 6, 8), (5, 6, 7),
@@ -98,7 +107,7 @@ def test_rows_callable_form(ref_spec, codeword):
 
 def test_minimal_check_matrix_may_need_more_passes(ref_spec, codeword):
     # the three evaluation rows alone still peel, just not in one sweep
-    rows = generator_matrix(ref_spec).entries
+    rows = generator_matrix(ref_spec).values()
     inst = make_instance(ref_spec, codeword, {1, 2})
     _, residual = peel(rows, inst)
     assert residual == frozenset() or residual_is_stopping(rows, residual)
@@ -127,3 +136,84 @@ def test_peel_flags_noncodeword(ref_spec, star_rows, codeword, f5):
     inst = ErasureInstance(corrupted, frozenset())
     with pytest.raises(IntegrityError):
         peel(star_rows, inst)
+
+
+def test_stream_rows_are_int_tuples(ref_spec):
+    for stream in (dual_rows(ref_spec), hstar_rows(ref_spec)):
+        for row in stream:
+            assert type(row) is tuple and len(row) == ref_spec.n
+            assert all(type(v) is int for v in row)
+
+
+def _f25_spec():
+    """A seeded curve over F_25 with D = its first nine affine points, which
+    include four pairs {P, -P}, so peeling both recovers and stalls."""
+    f = FieldSpec(5, 2)
+    rng = random.Random(25)
+    while True:
+        try:
+            E = EllipticCurve(f, f.from_value(rng.randrange(25)), f.from_value(rng.randrange(25)))
+            break
+        except ValueError:
+            continue
+    D = tuple(P for P in rational_points(E) if not P.is_infinity)[:9]
+    return EllipticCodeSpec(E, D, 2)
+
+
+@pytest.mark.parametrize("which", ["reference", "F25"])
+def test_one_shot_list_and_callable_agree(ref_spec, which):
+    spec = ref_spec if which == "reference" else _f25_spec()
+    f = spec.field
+    rng = random.Random(4)
+    word = [0] * spec.n
+    for row in null_space(generator_matrix(spec)).values():
+        c = rng.randrange(1, f.q)
+        word = [f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row)]
+    codeword = tuple(f.from_value(v) for v in word)
+    star = list(hstar_rows(spec))
+    outcomes = set()
+    for size in range(spec.n + 1):
+        for S in itertools.combinations(range(1, spec.n + 1), size):
+            inst = make_instance(spec, codeword, S)
+            recovered, residual = peel(star, inst)
+            assert peel(hstar_rows(spec), inst) == (recovered, residual), S
+            assert peel(lambda: hstar_rows(spec), inst) == (recovered, residual), S
+            assert residual <= inst.erased
+            assert residual_is_stopping(star, residual)
+            for j in range(1, spec.n + 1):
+                assert recovered[j - 1] == (None if j in residual else codeword[j - 1])
+            outcomes.add("stall" if residual == inst.erased and residual else "peel" if residual else "recover")
+    assert outcomes == {"recover", "peel", "stall"}
+
+
+@pytest.mark.parametrize("erased", [{1, 2}, {1, 2, 5}])
+def test_bad_row_known_only_in_a_later_pass_raises(f5, erased):
+    # row 0 meets two erasures in the first pass; rows 1 and 2 then solve
+    # positions 2 and 1, so row 0 is fully known only from the second pass
+    # on, where its syndrome 4 + 4 + 0 = 3 is nonzero.  Position 5 is in no
+    # row, so with it erased the check happens while an erasure remains.
+    rows = [(1, 1, 1, 0, 0), (0, 1, 0, 1, 0), (1, 0, 0, 1, 0)]
+    word = tuple(f5.element(v) for v in (0, 0, 0, 1, 0))
+    inst = ErasureInstance(word, frozenset(erased))
+    recovered, residual = peel(rows, inst, max_passes=1)
+    assert [str(v) for v in recovered[:2]] == ["4", "4"]
+    assert residual == erased - {1, 2}
+    with pytest.raises(IntegrityError):
+        peel(rows, inst)
+    with pytest.raises(IntegrityError):
+        peel(iter(rows), inst)
+
+
+def test_decode_memory_stays_bounded():
+    # F_13, m = 4: 28560 H* rows, of which peeling keeps only those that
+    # meet two or more erasures; holding them all as field elements would
+    # peak near 46 MB
+    argv = ["decode", "--p", "13", "--a", "1", "--b", "1", "--m", "4", "--erased", "1,2,3,4,5"]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak

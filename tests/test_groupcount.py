@@ -144,6 +144,25 @@ def test_subset_sum_table_layers():
         subset_sum_table([G.element((1,)), G.element((1,))])  # duplicates
 
 
+def test_stopped_table_matches_full_table():
+    # filling only layers 0..k must not change layer k, for any group shape
+    groups = 0
+    for N in range(2, 17):
+        for G in all_groups_of_order(N):
+            nz = G.nonzero_elements()
+            full = subset_sum_table(nz)
+            for k in range(len(nz) + 1):
+                stopped = subset_sum_table(nz, k)
+                assert len(stopped) == k + 1
+                assert dict(stopped[k]) == dict(full[k]), (G.invariant_factors, k)
+            groups += 1
+    assert groups == 24  # abelian groups of order 2..16
+    G = AbelianGroup((9,))
+    for top in (-1, 9):
+        with pytest.raises(ValueError):
+            subset_sum_table(G.nonzero_elements(), top)
+
+
 @pytest.mark.parametrize("p,t", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_closed_form_prime_power(p, t):
     G = AbelianGroup((p ** t,))
