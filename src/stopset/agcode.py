@@ -492,28 +492,18 @@ def _has_full_support_kernel(spec: FieldSpec, rows: list[list[int]], width: int)
     return False
 
 
-def residue_min_distance(spec: EllipticCodeSpec, strategy: str = "auto") -> int:
+def residue_min_distance(spec: EllipticCodeSpec) -> int:
     """Minimum distance of the residue code, by pure linear algebra.
 
-    'macwilliams' reads the smallest positive weight off the weight
-    enumerator, from the same H* pass as the stopping-set oracle;
-    'columns' searches minimal dependent column sets of the evaluation
-    matrix; 'auto' takes 'macwilliams' when q^m fits the row bound and
-    'columns' otherwise.  'enumerate' walks all q^(n-m) codewords and is
-    kept only as a test oracle.
+    When q^m fits the row bound it is the smallest positive weight of the
+    weight enumerator, from the same H* pass as the stopping-set oracle;
+    otherwise the minimal dependent column sets of the evaluation matrix
+    give it.  `min_distance_bruteforce` on the null space is the oracle.
     """
-    if strategy == "auto":
-        feasible = spec.field.q ** spec.m <= row_limit(None)
-        strategy = "macwilliams" if feasible else "columns"
-    if strategy == "macwilliams":
+    if spec.field.q ** spec.m <= row_limit(None):
         A = weight_enumerator(spec)
         return next(w for w in range(1, spec.n + 1) if A[w])
-    G = generator_matrix(spec)
-    if strategy == "enumerate":
-        return min_distance_bruteforce(null_space(G))
-    if strategy == "columns":
-        return min_distance_dependent_columns(G)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return min_distance_dependent_columns(generator_matrix(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +559,21 @@ class Distribution:
         if not self.counts or self.counts[0] != 1:
             raise ValueError("T_0 must be 1: the empty set is a stopping set")
         n = len(self.counts) - 1
+        c = 1  # C(n, i), one row of Pascal's triangle
         for i, t in enumerate(self.counts):
-            if not 0 <= t <= math.comb(n, i):
+            if not 0 <= t <= c:
                 raise ValueError(f"T_{i} = {t} outside [0, C({n},{i})]")
+            c = c * (n - i) // (i + 1)
 
     @property
     def n(self) -> int:
         return len(self.counts) - 1
+
+    @property
+    def stopping_distance(self) -> int | None:
+        """The size of the smallest nonempty stopping set: the least i >= 1
+        with T_i > 0, or None when the empty set is the only one."""
+        return next((i for i in range(1, len(self.counts)) if self.counts[i]), None)
 
     def __len__(self) -> int:
         return len(self.counts)

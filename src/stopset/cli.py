@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from itertools import combinations
 
 from . import agcode, decoder, stoptheory
 from .curve import EllipticCurve, group_structure, parse_point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import is_prime, parse_element, parse_field
-from .groupcount import AbelianGroup, count_formula
-from .stoptheory import classify
+from .groupcount import AbelianGroup, count_S_m, count_formula
+
+MDS_MAX_N = 4096
+GROUP_MAX_ORDER = 2 ** 40
+COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 
 
 class VerificationFailure(Exception):
@@ -109,7 +112,17 @@ def _cmd_structure(args) -> int:
 
 def _cmd_groupcount(args) -> int:
     factors = [int(d) for d in args.group.lower().split("x")]
+    order = math.prod(factors)
+    if min(factors) > 0 and order > GROUP_MAX_ORDER:
+        raise SizeLimitError(f"group order ({order.bit_length()} bits) exceeds the bound {GROUP_MAX_ORDER}")
     G = AbelianGroup.from_cyclic_factors(factors)
+    if 0 <= args.k < G.order:
+        # the count is at most C(N - 1, k); log-gamma sizes it unevaluated
+        log_c = math.lgamma(G.order) - math.lgamma(args.k + 1) - math.lgamma(G.order - args.k)
+        if log_c / math.log(10) >= COUNT_MAX_DIGITS - 1:
+            raise SizeLimitError(
+                f"the count may reach {COUNT_MAX_DIGITS} digits: C({G.order - 1}, {args.k}) does"
+            )
     if args.target:
         b = G.element(int(c) for c in args.target.split(","))
     else:
@@ -166,6 +179,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_mds(args) -> int:
+    if args.n > MDS_MAX_N:
+        raise SizeLimitError(f"n = {args.n} exceeds the bound {MDS_MAX_N}")
     dist = agcode.mds_distribution(args.n, args.k)
     if args.format == "csv":
         _emit(_distribution_csv(dist), args)
@@ -175,15 +190,31 @@ def _cmd_mds(args) -> int:
     return 0
 
 
+def _spec_from_doc(doc) -> agcode.EllipticCodeSpec:
+    """The code of a `decode --spec` document: an object with strings
+    "field", "a" and "b", an integer "m" (or its digits), and "D" as
+    'all-minus-O' (the default), 'x,y;x,y;...' or a list of 'x,y' strings."""
+    if not isinstance(doc, dict):
+        raise ValueError("the spec file must hold a JSON object")
+    for key in ("field", "a", "b"):
+        if not isinstance(doc.get(key), str):
+            raise ValueError(f"spec key {key!r} must be a string")
+    if not isinstance(doc.get("m"), (int, str)):
+        raise ValueError("spec key 'm' must be an integer")
+    d_field = doc.get("D", "all-minus-O")
+    if isinstance(d_field, list) and all(isinstance(P, str) for P in d_field):
+        d_field = ";".join(d_field)
+    if not isinstance(d_field, str):
+        raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
+    field = parse_field(doc["field"])
+    E = EllipticCurve(field, parse_element(field, doc["a"]), parse_element(field, doc["b"]))
+    return _spec_for_curve(E, int(doc["m"]), d_field)
+
+
 def _cmd_decode(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
-            doc = json.load(fh)
-        field = parse_field(doc["field"])
-        E = EllipticCurve(field, parse_element(field, doc["a"]), parse_element(field, doc["b"]))
-        d_field = doc.get("D", "all-minus-O")
-        d_text = d_field if isinstance(d_field, str) else ";".join(d_field)
-        spec = _spec_for_curve(E, int(doc["m"]), d_text)
+            spec = _spec_from_doc(json.load(fh))
     else:
         if args.m is None:
             raise ValueError("need --m (or --spec)")
@@ -216,31 +247,20 @@ def _cmd_decode(args) -> int:
 
 
 def _verify_instance(spec, samples: int, seed: int, corrupt: int | None, report: dict) -> list[dict]:
-    mismatches = []
-    if corrupt is None:
-        mismatches += stoptheory.oracle_agreement_check(spec, sample_cap=samples, seed=seed)
-    else:
-        masks = _corrupted_masks(spec, corrupt)
-        sizes = [s for s in range(spec.m - 1, spec.m + 3) if 0 <= s <= spec.n]
-        for size in sizes:
-            for A in combinations(range(1, spec.n + 1), size):
-                by_rule = classify(spec, A).is_stopping
-                by_matrix = agcode.is_stopping_set_masks(masks, agcode.subset_mask(A))
-                if by_rule != by_matrix:
-                    mismatches.append({"subset": list(A), "classify": by_rule, "oracle": by_matrix})
+    if corrupt is not None:
         report["corrupted"] = True
-        return mismatches
-
-    # counting cross-checks on the full evaluation set
-    s_m = stoptheory.enumerate_S_m(spec)
-    dist_enum = stoptheory.distribution(spec, source="enumerate")
+        return stoptheory.oracle_agreement_check(spec, _corrupted_masks(spec, corrupt), samples, seed)
+    # the census `report` prints, then the routes it does not take
+    rep = stoptheory.build_report(spec, samples, seed)
+    mismatches = list(rep.oracle_mismatches)
+    s_m = rep.S_m if rep.S_m is not None else stoptheory.enumerate_S_m(spec)
+    if len(s_m) != rep.S_m_count:
+        mismatches.append({"check": "s_m-listing", "enumerate": len(s_m), "dp": rep.S_m_count})
     G = stoptheory.is_subgroup_minus_O(spec.curve, spec.D)
     if G is not None:
-        dist_formula = stoptheory.distribution(spec, source="formula")
-        if list(dist_formula) != list(dist_enum):
-            mismatches.append(
-                {"check": "distribution", "formula": list(dist_formula), "enumerate": list(dist_enum)}
-            )
+        formula = count_S_m(G, spec.m)
+        if formula != rep.S_m_count:
+            mismatches.append({"check": "distribution", "formula": formula, "dp": rep.S_m_count})
     try:
         stoptheory.build_S_m_plus(spec, s_m)
     except IntegrityError as exc:
@@ -251,10 +271,9 @@ def _verify_instance(spec, samples: int, seed: int, corrupt: int | None, report:
         # the minimum distance below reads the same enumerator
         mismatches.append({"check": "weight-enumerator", "detail": str(exc)})
         return mismatches
-    if a_m != (spec.field.q - 1) * len(s_m):
-        mismatches.append({"check": "weight-enumerator", "A_m": a_m, "s_m_count": len(s_m)})
-    sd = stoptheory.stopping_distance(spec)
-    md = agcode.residue_min_distance(spec)
+    if a_m != (spec.field.q - 1) * rep.S_m_count:
+        mismatches.append({"check": "weight-enumerator", "A_m": a_m, "s_m_count": rep.S_m_count})
+    sd, md = rep.stopping_distance, agcode.residue_min_distance(spec)
     if sd != md:
         mismatches.append({"check": "stopping-distance", "stopping": sd, "min_distance": md})
     return mismatches

@@ -24,15 +24,16 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import agcode
 from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks, subset_mask
 from .curve import EllipticCurve, GroupStructure, Point, group_structure
 from .errors import IntegrityError, SizeLimitError
-from .groupcount import AbelianGroup, count_S_m, subset_sum_table
+from .groupcount import AbelianGroup, subset_sum_table
 
 DEFAULT_ENUM_MAX_N = 24
+SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
 
 
 class Verdict(enum.Enum):
@@ -192,12 +193,9 @@ def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> li
     return sorted(out)
 
 
-def count_S_m_of_spec(spec: EllipticCodeSpec, enum_threshold: int = 10 ** 6) -> int:
-    """#S(m) for the spec's own evaluation set: direct enumeration when
-    C(n, m) is small, else a subset-sum DP over the points' coordinates in
-    the curve group."""
-    if math.comb(spec.n, spec.m) <= enum_threshold and spec.n <= DEFAULT_ENUM_MAX_N:
-        return len(enumerate_S_m(spec))
+def count_S_m_of_spec(spec: EllipticCodeSpec) -> int:
+    """#S(m) for the spec's own evaluation set: a subset-sum DP over the
+    points' coordinates in the curve group, stopped at layer m."""
     moduli, coords = _sum_context(spec)
     G = AbelianGroup.from_cyclic_factors(moduli)
     elements = [G.element(c for c, d in zip(pair, moduli) if d != 1) for pair in coords]
@@ -206,27 +204,17 @@ def count_S_m_of_spec(spec: EllipticCodeSpec, enum_threshold: int = 10 ** 6) -> 
 
 def stopping_distance(spec: EllipticCodeSpec) -> int:
     """m when a size-m stopping set exists, else m + 1."""
-    return spec.m if count_S_m_of_spec(spec) > 0 else spec.m + 1
+    return distribution(spec).stopping_distance
 
 
-def distribution(spec: EllipticCodeSpec, source: str = "enumerate") -> Distribution:
+def distribution(spec: EllipticCodeSpec) -> Distribution:
     """The full stopping-set distribution T_0..T_n.
 
     Only #S(m) needs real work: T_(m+1) follows from the disjoint-extension
     identity, smaller sizes are forced, larger sizes are all subsets.
-    source='formula' demands that D be a subgroup minus the identity and
-    counts via the Moebius formula instead of the curve.
     """
     n, m = spec.n, spec.m
-    if source == "enumerate":
-        s_m = count_S_m_of_spec(spec)
-    elif source == "formula":
-        G = is_subgroup_minus_O(spec.curve, spec.D)
-        if G is None:
-            raise ValueError("formula source needs D = (subgroup minus identity)")
-        s_m = count_S_m(G, m)
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    s_m = count_S_m_of_spec(spec)
     counts = [0] * (n + 1)
     counts[0] = 1
     counts[m] = s_m
@@ -285,20 +273,14 @@ def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tupl
 
 
 def oracle_agreement_check(
-    spec: EllipticCodeSpec,
-    sizes: Sequence[int] | None = None,
-    sample_cap: int = 5000,
-    seed: int = 0,
-    max_rows: int | None = None,
+    spec: EllipticCodeSpec, masks: Collection[int], sample_cap: int = 5000, seed: int = 0
 ) -> list[dict]:
-    """Compare classify against the parity-check oracle on subsets of the
-    given sizes (default m-1..m+2); returns one record per disagreement."""
-    masks = hstar_support_masks(spec, max_rows)
-    if sizes is None:
-        sizes = [s for s in range(spec.m - 1, spec.m + 3) if 0 <= s <= spec.n]
+    """Compare classify against the parity-check oracle given by the H*
+    support `masks` on subsets of sizes m-1..m+2 (all of them, or
+    `sample_cap` sampled per size); returns one record per disagreement."""
     rng = random.Random(seed)
     mismatches = []
-    for size in sizes:
+    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
             by_rule = classify(spec, A).is_stopping
             by_matrix = agcode.is_stopping_set_masks(masks, subset_mask(A))
@@ -314,10 +296,8 @@ class StoppingReport:
     spec: EllipticCodeSpec
     group: GroupStructure
     S_m: list[tuple[int, ...]] | None
-    S_m_count: int
     distribution: Distribution
-    stopping_distance: int
-    oracle_agreement: bool | None
+    oracle_mismatches: list[dict] | None  # None when H* exceeds the row bound
 
     def __post_init__(self) -> None:
         n, m = self.spec.n, self.spec.m
@@ -327,33 +307,34 @@ class StoppingReport:
         if self.stopping_distance not in (m, m + 1):
             raise IntegrityError("stopping distance must be m or m + 1")
 
+    @property
+    def S_m_count(self) -> int:
+        return self.distribution[self.spec.m]
 
-def build_report(
-    spec: EllipticCodeSpec,
-    include_sets: bool = True,
-    set_limit: int = 10 ** 4,
-    oracle_check: bool | None = None,
-    sample_cap: int = 2000,
-    seed: int = 0,
-) -> StoppingReport:
+    @property
+    def stopping_distance(self) -> int:
+        return self.distribution.stopping_distance
+
+    @property
+    def oracle_agreement(self) -> bool | None:
+        return None if self.oracle_mismatches is None else not self.oracle_mismatches
+
+
+def build_report(spec: EllipticCodeSpec, sample_cap: int = 2000, seed: int = 0) -> StoppingReport:
     """Assemble the census: distribution, #S(m), the sets themselves when
-    small, and (when the dual codebook is streamable) the oracle flag."""
+    n <= DEFAULT_ENUM_MAX_N and #S(m) <= SET_LIMIT, and (when the dual
+    codebook is streamable) the oracle's disagreements."""
     dist = distribution(spec)
-    s_m_count = dist[spec.m]
     sets = None
-    if include_sets and s_m_count <= set_limit and spec.n <= DEFAULT_ENUM_MAX_N:
+    if dist[spec.m] <= SET_LIMIT and spec.n <= DEFAULT_ENUM_MAX_N:
         sets = enumerate_S_m(spec)
-    if oracle_check is None:
-        oracle_check = spec.field.q ** spec.m <= agcode.row_limit(None)
-    agreement = None
-    if oracle_check:
-        agreement = not oracle_agreement_check(spec, sample_cap=sample_cap, seed=seed)
+    mismatches = None
+    if spec.field.q ** spec.m <= agcode.row_limit(None):
+        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), sample_cap, seed)
     return StoppingReport(
         spec=spec,
         group=group_structure(spec.curve),
         S_m=sets,
-        S_m_count=s_m_count,
         distribution=dist,
-        stopping_distance=spec.m if s_m_count else spec.m + 1,
-        oracle_agreement=agreement,
+        oracle_mismatches=mismatches,
     )

@@ -31,6 +31,7 @@ from stopset import (
     generator_matrix,
     group_structure,
     hstar_rows,
+    hstar_support_masks,
     make_instance,
     mds_distribution,
     min_distance_bruteforce,
@@ -49,6 +50,7 @@ from stopset import (
 from stopset.agcode import (
     DEFAULT_ROW_LIMIT,
     is_stopping_set_masks,
+    min_distance_dependent_columns,
     stopping_distribution_from_rows,
     subset_mask,
     support_masks,
@@ -242,7 +244,7 @@ def test_criterion_04(sweep_specs):
     t0 = time.monotonic()
     assert len(sweep_specs) > 100
     for spec in sweep_specs:
-        mismatches = oracle_agreement_check(spec, sample_cap=5000, seed=4)
+        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), sample_cap=5000, seed=4)
         assert mismatches == [], f"{spec.curve}: {mismatches[:3]}"
     _done(4, f"classification = matrix oracle on {len(sweep_specs)} codes", t0, 600.0)
 
@@ -370,10 +372,10 @@ def test_criterion_11(f5, f7):
         # full codeword enumeration where it fits; 13 codes over F_7 exceed 2^22 words
         if spec.field.q ** (spec.n - spec.m) <= DEFAULT_ROW_LIMIT:
             return min_distance_bruteforce(null_space(generator_matrix(spec)))
-        return residue_min_distance(spec, "columns")
+        return columns(spec)
 
     def columns(spec):
-        return residue_min_distance(spec, "columns")
+        return min_distance_dependent_columns(generator_matrix(spec))
 
     small = 0
     for field in (f5, f7):

@@ -157,13 +157,16 @@ def test_null_space_is_orthogonal_complement(ref_spec):
             assert dot == 0
 
 
-def test_min_distance_routes_agree(ref_spec):
-    assert residue_min_distance(ref_spec, "enumerate") == 3
-    assert residue_min_distance(ref_spec, "columns") == 3
-    assert residue_min_distance(ref_spec, "macwilliams") == 3
+def test_min_distance_routes_agree(ref_spec, monkeypatch):
+    G = generator_matrix(ref_spec)
+    assert min_distance_bruteforce(null_space(G)) == 3
+    assert min_distance_dependent_columns(G) == 3
+    assert residue_min_distance(ref_spec) == 3  # the weight enumerator
+    # below q^m rows the enumerator is out of reach and the columns decide
+    monkeypatch.setenv("STOPSET_MAX_ROWS", str(5 ** 3 - 1))
+    with pytest.raises(SizeLimitError):
+        weight_enumerator(ref_spec)
     assert residue_min_distance(ref_spec) == 3
-    with pytest.raises(ValueError):
-        residue_min_distance(ref_spec, "guess")
 
 
 def test_min_distance_on_rs_code():
@@ -207,6 +210,13 @@ def test_mds_distribution_values():
     d = mds_distribution(7, 3)
     assert tuple(d[:5]) == (1, 0, 0, 0, 0)
     assert d[5] == math.comb(7, 5)
+
+
+def test_stopping_distance_of_a_distribution():
+    for n, k in [(5, 2), (4, 1), (7, 3), (30, 12)]:
+        assert mds_distribution(n, k).stopping_distance == n - k + 1
+    assert Distribution((1, 0, 0, 6, 40, 56, 28, 8, 1)).stopping_distance == 3
+    assert Distribution((1, 0, 0)).stopping_distance is None  # only the empty set
 
 
 def test_rs_stopping_distribution_is_mds():

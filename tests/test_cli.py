@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,3 +273,125 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["distribution"] == [1, 0, 0, 4, 1]
+
+
+# stdout digest and exit code of a fixed ladder of calls, so a change of
+# route cannot change a byte of what the commands print
+GOLDEN_LADDER = [
+    (["report", *REF, "--m", "3"], 0,
+     "97c82c11b3c2812eb3350fc79d5aaebc8e499d06ddd0e568a6f60f91f9cea778"),
+    (["report", *REF, "--m", "3", "--format", "csv"], 0,
+     "562c6c1015cb56093e0d92a8c3a185dacf8544c7e142c59b318c756d5a3899c9"),
+    (["report", "--p", "31", "--a", "1", "--b", "2", "--m", "3"], 0,
+     "9f625f6b37f06cdf9422baa51b3daad5aa297c368aa42f13a6792e027b073431"),
+    (["report", "--p", "29", "--a", "1", "--b", "1", "--m", "3"], 0,  # n = 35 > 24
+     "b85c01345c940231d40f1a0d01aec09f101f644edfb0eb1bc9015638d8267d0f"),
+    (["report", *REF, "--m", "2", "--D", "0,1;4,2;2,1;3,4;3,1"], 0,  # no subgroup
+     "10915a6db5df84df544b419e5bc18c9bf8e70073d51dfe84a8e62a6b18e71b9f"),
+    (["verify", "--max-q", "5", "--max-m", "3"], 0,
+     "3a9e4888b7d1105f6c80dd8fa20b52d8cabace48847dab0e852bfc5a1e205362"),
+    (["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"], 1,
+     "85738371d2dd15129665d22d761462fd8316ceb8c8f128892c534a7274ecd403"),
+    (["decode", *REF, "--m", "3", "--erased", "1,3,5"], 0,
+     "0b931d4140b4da3fd2bacf259111f989c5b01b294842d05b0a7d729ed470f0ad"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_LADDER, ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(GOLDEN_LADDER)]
+)
+def test_golden_stdout(capsys, argv, code, digest):
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_corrupt_goes_through_the_oracle_check(capsys, monkeypatch):
+    from stopset import stoptheory
+
+    monkeypatch.setattr(stoptheory, "oracle_agreement_check", lambda spec, masks, cap, seed: [])
+    assert main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["corrupted"] is True
+
+
+def _count_calls(monkeypatch, module, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_one_route_per_question(capsys, monkeypatch):
+    from stopset import stoptheory
+
+    names = ("enumerate_S_m", "count_S_m_of_spec", "is_subgroup_minus_O", "oracle_agreement_check")
+    counts = _count_calls(monkeypatch, stoptheory, names)
+    doc = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "3"])
+    assert counts == dict.fromkeys(names, doc["instances"])
+    counts.update(dict.fromkeys(names, 0))
+    run_json(capsys, ["report", "--p", "31", "--a", "1", "--b", "2", "--m", "3"])
+    assert counts["enumerate_S_m"] == counts["count_S_m_of_spec"] == 1
+
+
+def test_verify_flags_each_counting_route(capsys, monkeypatch):
+    from stopset import cli, stoptheory
+
+    real_list, real_formula = stoptheory.enumerate_S_m, cli.count_S_m
+    monkeypatch.setattr(stoptheory, "enumerate_S_m", lambda spec: real_list(spec)[1:])
+    monkeypatch.setattr(cli, "count_S_m", lambda G, m: real_formula(G, m) + 1)
+    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    listing = [rec for rec in doc["mismatches"] if rec["check"] == "s_m-listing"]
+    formula = [rec for rec in doc["mismatches"] if rec["check"] == "distribution"]
+    assert len(listing) + len(formula) == doc["mismatch_count"]
+    assert all(rec["enumerate"] == rec["dp"] - 1 for rec in listing)
+    assert all(rec["formula"] == rec["dp"] + 1 for rec in formula)
+    assert listing and len(formula) == doc["instances"]  # D = E minus O is a subgroup
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groupcount", "--group", "100000", "--k", "50000"],
+        ["groupcount", "--group", "1000000000000000000", "--k", "3"],
+        ["mds", "--n", "20000", "--k", "10000"],
+    ],
+)
+def test_size_bounds_exit_3(argv):
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "stopset", *argv], capture_output=True, text=True)
+    assert time.monotonic() - t0 < 2.0
+    assert proc.returncode == 3
+    assert "size bound exceeded" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_readme_examples_inside_the_bounds(capsys):
+    assert run_json(capsys, ["groupcount", "--group", "2x4", "--k", "3", "--target", "0,2"])["count"] == 6
+    assert run_json(capsys, ["mds", "--n", "5", "--k", "2"])["distribution"] == [1, 0, 0, 0, 5, 1]
+    doc = run_json(capsys, ["mds", "--n", "4096", "--k", "2048"])
+    assert doc["distribution"][2048] == 0 and doc["distribution"][2049] == math.comb(4096, 2049)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([{"field": "5", "a": "1", "b": "1", "m": 3}], "must hold a JSON object"),
+        ({"field": "5", "a": "1", "b": "1", "m": 3, "D": [1, 2]}, "'D' must be"),
+        ({"field": 5, "a": "1", "b": "1", "m": 3}, "'field' must be a string"),
+        ({"field": "5", "a": "1", "b": "1", "m": [3]}, "'m' must be an integer"),
+    ],
+)
+def test_decode_spec_of_wrong_shape_exits_2(capsys, tmp_path, doc, message):
+    spec_file = tmp_path / "code.json"
+    spec_file.write_text(json.dumps(doc))
+    assert main(["decode", "--spec", str(spec_file), "--erased", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

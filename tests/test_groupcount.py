@@ -130,9 +130,11 @@ def test_dp_matches_formula():
     for factors in [(9,), (2, 4), (15,), (3, 9), (2, 2, 4)]:
         G = AbelianGroup(factors)
         nz = G.nonzero_elements()
-        for k in range(G.order):
+        table = subset_sum_table(nz)
+        for k, b_k in zip(range(G.order), G.elements()):
             for b in G.elements():
-                assert dp_count(nz, k, b) == count_formula(G, k, b)
+                assert table[k].get(b.coords, 0) == count_formula(G, k, b)
+            assert dp_count(nz, k, b_k) == table[k].get(b_k.coords, 0)
 
 
 def test_subset_sum_table_layers():

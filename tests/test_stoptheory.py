@@ -26,6 +26,7 @@ from stopset import (
     enumerate_S_m,
     enumerate_S_m1,
     group_structure,
+    hstar_support_masks,
     is_subgroup_minus_O,
     oracle_agreement_check,
     point_order,
@@ -36,6 +37,7 @@ from stopset import (
     stopping_distance,
     sum_points,
 )
+from stopset import stoptheory
 from stopset.stoptheory import (
     _sum_context,
     count_S_m_of_spec,
@@ -73,9 +75,8 @@ def test_golden_size_m_plus_one_sets(ref_spec):
 def test_golden_distribution(ref_spec):
     expect = (1, 0, 0, 6, 40, 56, 28, 8, 1)
     assert tuple(distribution(ref_spec)) == expect
-    assert tuple(distribution(ref_spec, source="formula")) == expect
-    with pytest.raises(ValueError):
-        distribution(ref_spec, source="divination")
+    G = is_subgroup_minus_O(ref_spec.curve, ref_spec.D)
+    assert count_S_m(G, ref_spec.m) == expect[ref_spec.m]
 
 
 def test_classify_verdicts(ref_spec):
@@ -158,15 +159,15 @@ def test_count_matches_group_formula(ref_spec):
 
 
 def test_count_dp_route_agrees(ref_spec, f7):
-    # force the coordinate DP by an impossible enumeration threshold
-    assert count_S_m_of_spec(ref_spec, enum_threshold=0) == 6
+    # the coordinate DP counts what the enumeration lists
+    assert count_S_m_of_spec(ref_spec) == len(enumerate_S_m(ref_spec)) == 6
     E = curve(f7, 0, 1)
     for m in (2, 3, 4):
         spec = spec_all_points(E, m)
-        assert count_S_m_of_spec(spec, enum_threshold=0) == count_S_m_of_spec(spec)
+        assert count_S_m_of_spec(spec) == len(enumerate_S_m(spec))
     # a non-subgroup evaluation set takes the same two routes
     partial = EllipticCodeSpec(ref_spec.curve, ref_spec.D[:7], 3)
-    assert count_S_m_of_spec(partial, enum_threshold=0) == count_S_m_of_spec(partial)
+    assert count_S_m_of_spec(partial) == len(enumerate_S_m(partial))
 
 
 def test_stopping_distance_both_cases(ref_spec):
@@ -178,9 +179,10 @@ def test_stopping_distance_both_cases(ref_spec):
 
 
 def test_formula_source_needs_subgroup(ref_spec):
+    # no group to count in, so the formula is out; the DP still counts
     partial = EllipticCodeSpec(ref_spec.curve, ref_spec.D[:7], 3)
-    with pytest.raises(ValueError):
-        distribution(partial, source="formula")
+    assert is_subgroup_minus_O(partial.curve, partial.D) is None
+    assert distribution(partial)[3] == len(enumerate_S_m(partial))
 
 
 def test_is_subgroup_minus_O(ref_spec):
@@ -212,8 +214,21 @@ def test_rank_two_subgroup_found():
 
 
 def test_oracle_agreement_clean(ref_spec):
-    assert oracle_agreement_check(ref_spec) == []
-    assert oracle_agreement_check(ref_spec, sizes=[2, 3, 4, 5]) == []
+    masks = hstar_support_masks(ref_spec)
+    assert oracle_agreement_check(ref_spec, masks) == []
+    assert oracle_agreement_check(ref_spec, masks, sample_cap=10, seed=3) == []
+
+
+def test_oracle_agreement_flags_foreign_masks(ref_spec):
+    # a weight-1 row on column 1 unstops every subset holding position 1
+    found = oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1})
+    assert found
+    for rec in found:
+        assert 1 in rec["subset"] and rec["classify"] and not rec["oracle"]
+    assert {len(rec["subset"]) for rec in found} == {3, 4, 5}
+    # with no rows every subset stops, which classify denies below size m + 2
+    found = oracle_agreement_check(ref_spec, frozenset())
+    assert {len(rec["subset"]) for rec in found} == {2, 3, 4}
 
 
 def test_sample_subsets_behaviour():
@@ -241,9 +256,17 @@ def test_report(ref_spec):
     assert tuple(rep.distribution) == (1, 0, 0, 6, 40, 56, 28, 8, 1)
     assert rep.stopping_distance == 3
     assert rep.oracle_agreement is True
+    assert rep.oracle_mismatches == []
     assert (rep.group.m1, rep.group.m2) == (1, 9)
-    skipped = build_report(ref_spec, include_sets=False, oracle_check=False)
+
+
+def test_report_skips_what_is_too_large(ref_spec, monkeypatch):
+    monkeypatch.setattr(stoptheory, "SET_LIMIT", 5)  # #S(3) = 6 sets
+    monkeypatch.setenv("STOPSET_MAX_ROWS", str(5 ** 3 - 1))
+    skipped = build_report(ref_spec)
     assert skipped.S_m is None
+    assert skipped.S_m_count == 6
+    assert skipped.oracle_mismatches is None
     assert skipped.oracle_agreement is None
 
 
