@@ -21,7 +21,7 @@ from stopset import (
 
 f5 = FieldSpec(5)
 E = curve(f5, 1, 1)
-base = Point(f5.element(0), f5.element(1))
+base = Point(0, 1)
 D = tuple(scalar_mul(E, i, base) for i in range(1, 9))
 spec = EllipticCodeSpec(E, D, 3)
 

@@ -9,7 +9,6 @@ from .agcode import (
     generator_matrix,
     hstar_rows,
     hstar_support_masks,
-    is_stopping_set_oracle,
     mds_distribution,
     min_distance_bruteforce,
     null_space,

@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
-from .curve import EllipticCurve, Point
+from .curve import EllipticCurve, Point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import FieldElement, FieldSpec
+from .ffield import FieldSpec
 
 DEFAULT_ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
 ROW_LIMIT_ENV = "STOPSET_MAX_ROWS"
@@ -68,9 +68,9 @@ class EllipticCodeSpec:
             if P.is_infinity:
                 raise ValueError("evaluation points must be affine")
             if not self.curve.is_on_curve(P):
-                raise ValueError(f"{P!r} is not on the curve")
+                raise ValueError(f"{point_str(self.field, P)} is not on the curve")
             if P in seen:
-                raise ValueError(f"duplicate evaluation point {P!r}")
+                raise ValueError(f"duplicate evaluation point {point_str(self.field, P)}")
             seen.add(P)
         # the generated hash would re-hash every point of D on each call,
         # which costs more than the per-spec cache lookups it keys
@@ -90,16 +90,16 @@ class EllipticCodeSpec:
 
 def spec_all_points(curve: EllipticCurve, m: int) -> EllipticCodeSpec:
     """The canonical spec: D = all rational points except infinity."""
-    from .curve import rational_points
-
     D = tuple(P for P in rational_points(curve) if not P.is_infinity)
     return EllipticCodeSpec(curve, D, m)
 
 
 @dataclass(frozen=True)
 class CodeMatrix:
+    """A matrix over `spec` with rows of canonical field values."""
+
     spec: FieldSpec
-    entries: tuple[tuple[FieldElement, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
     role: str
 
     def __post_init__(self) -> None:
@@ -108,10 +108,9 @@ class CodeMatrix:
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
-            for e in row:
-                if e.spec != self.spec:
-                    raise FieldMismatchError("entry outside the matrix field")
+        q = self.spec.q
+        if not all(0 <= v < q for row in self.entries for v in row):
+            raise FieldMismatchError("entry outside the matrix field")
 
     @property
     def nrows(self) -> int:
@@ -122,13 +121,8 @@ class CodeMatrix:
         return len(self.entries[0]) if self.entries else 0
 
     def values(self) -> list[tuple[int, ...]]:
-        """Rows as canonical integer values; the fast-path representation."""
-        return [tuple(e.value for e in row) for row in self.entries]
-
-
-def _matrix_from_values(spec: FieldSpec, rows: Iterable[Sequence[int]], role: str) -> CodeMatrix:
-    ent = tuple(tuple(FieldElement(spec, v) for v in row) for row in rows)
-    return CodeMatrix(spec, ent, role)
+        """The rows as a list."""
+        return list(self.entries)
 
 
 def rr_basis(m: int) -> list[tuple[int, int]]:
@@ -147,10 +141,12 @@ def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
     Its row space is the full dual of the residue code, so it doubles as a
     (minimal) parity-check matrix of that code.
     """
-    rows = []
-    for i, j in rr_basis(spec.m):
-        rows.append(tuple(P.x ** i * P.y ** j for P in spec.D))
-    return CodeMatrix(spec.field, tuple(rows), ROLE_GENERATOR)
+    f = spec.field
+    rows = tuple(
+        tuple(f.mul_val(f.pow_val(P.x, i), f.pow_val(P.y, j)) for P in spec.D)
+        for i, j in rr_basis(spec.m)
+    )
+    return CodeMatrix(f, rows, ROLE_GENERATOR)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +194,7 @@ def dual_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[t
     q = spec.field.q
     if q ** spec.m > limit:
         raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
-    yield from _combination_stream(spec.field, generator_matrix(spec).values(), normalized=False)
+    yield from _combination_stream(spec.field, generator_matrix(spec).entries, normalized=False)
 
 
 def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -210,12 +206,20 @@ def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[
 
 @dataclass(frozen=True)
 class DualCensus:
-    """What one pass over H* yields: the distinct row supports (bit j-1 =
-    column j) and the dual weight counts B_0..B_n (B_0 = 1 for the zero
-    word)."""
+    """What one pass over a dual of q^dual_dim words yields: the distinct
+    row supports (bit j-1 = column j) and the dual weight counts B_0..B_n
+    (B_0 = 1 for the zero word)."""
 
     masks: frozenset[int]
     dual_weights: tuple[int, ...]
+    q: int
+    dual_dim: int
+
+    @cached_property
+    def code_weights(self) -> tuple[int, ...]:
+        """The code's weight counts A_0..A_n by the MacWilliams transform,
+        computed once per census."""
+        return macwilliams_transform(self.dual_weights, self.q, self.dual_dim)
 
 
 def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> DualCensus:
@@ -232,7 +236,7 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
         hist[mask.bit_count()] += 1
     weights = [(spec.q - 1) * h for h in hist]
     weights[0] += 1
-    return DualCensus(frozenset(masks), tuple(weights))
+    return DualCensus(frozenset(masks), tuple(weights), spec.q, len(rows))
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +244,7 @@ def _census(spec: EllipticCodeSpec, limit: int) -> DualCensus:
     q = spec.field.q
     if q ** spec.m > limit:
         raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
-    return _stream_census(spec.field, generator_matrix(spec).values(), spec.n)
+    return _stream_census(spec.field, generator_matrix(spec).entries, spec.n)
 
 
 def hstar_census(spec: EllipticCodeSpec, max_rows: int | None = None) -> DualCensus:
@@ -304,18 +308,18 @@ def weight_enumerator(code: EllipticCodeSpec | CodeMatrix, max_rows: int | None 
 
     For an EllipticCodeSpec the code is the residue code and its dual
     counts come from the cached H* pass that also yields the stopping-set
-    masks.  For a CodeMatrix the code is its null space and the dual is
-    its row space.  Guarded by q^(dual dimension) <= the row bound.
+    masks, and the transform is cached with that pass.  For a CodeMatrix
+    the code is its null space and the dual is its row space.  Guarded by
+    q^(dual dimension) <= the row bound.
     """
     if isinstance(code, EllipticCodeSpec):
-        return macwilliams_transform(hstar_census(code, max_rows).dual_weights, code.field.q, code.m)
+        return hstar_census(code, max_rows).code_weights
     spec = code.spec
-    basis, _ = _rref(spec, code.values())
+    basis, _ = _rref(spec, code.entries)
     limit = row_limit(max_rows)
     if spec.q ** len(basis) > limit:
         raise SizeLimitError(f"{spec.q}^{len(basis)} dual words exceed the bound {limit}")
-    census = _stream_census(spec, basis, code.ncols)
-    return macwilliams_transform(census.dual_weights, spec.q, len(basis))
+    return _stream_census(spec, basis, code.ncols).code_weights
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +334,16 @@ def subset_mask(S: Iterable[int]) -> int:
     return mask
 
 
-def support_masks(rows: Iterable[Sequence]) -> frozenset[int]:
-    """Distinct nonzero row supports as bitmasks (bit j-1 = column j); rows
-    may contain FieldElement or plain integer entries."""
+def support_masks(rows: Iterable[Sequence[int]]) -> frozenset[int]:
+    """Distinct nonzero row supports as bitmasks (bit j-1 = column j)."""
     masks = {sum(1 << j for j, v in enumerate(row) if v) for row in rows}
     masks.discard(0)
     return frozenset(masks)
 
 
-def is_stopping_set_oracle(rows: Iterable[Sequence], S: Iterable[int]) -> bool:
-    """True when no row restricted to S has weight exactly 1.
-
-    rows may contain FieldElement or plain integer entries; S holds 1-based
-    positions.  Streams with early exit on the first weight-1 restriction.
-    """
-    positions = [i - 1 for i in set(S)]
-    for row in rows:
-        weight = 0
-        for j in positions:
-            if row[j]:
-                weight += 1
-                if weight > 1:
-                    break
-        if weight == 1:
-            return False
-    return True
-
-
 def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
-    """Mask-level form of the oracle: same definition, supports precomputed."""
+    """True when no row, given by its support mask, meets the subset
+    s_mask in exactly one position: the definition of a stopping set."""
     for r in masks:
         if (r & s_mask).bit_count() == 1:
             return False
@@ -409,7 +394,7 @@ def _rref(spec: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
 
 
 def matrix_rank(M: CodeMatrix) -> int:
-    return len(_rref(M.spec, M.values())[0])
+    return len(_rref(M.spec, M.entries)[0])
 
 
 def _kernel_basis(spec: FieldSpec, rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
@@ -429,7 +414,7 @@ def _kernel_basis(spec: FieldSpec, rows: Sequence[Sequence[int]], width: int) ->
 def null_space(M: CodeMatrix) -> CodeMatrix:
     """A basis of the right null space of M, as a parity-check-role matrix:
     its rows span exactly the code checked by M."""
-    return _matrix_from_values(M.spec, _kernel_basis(M.spec, M.values(), M.ncols), ROLE_PARITY)
+    return CodeMatrix(M.spec, tuple(_kernel_basis(M.spec, M.entries, M.ncols)), ROLE_PARITY)
 
 
 def min_distance_bruteforce(M: CodeMatrix, max_words: int | None = None) -> int:
@@ -441,20 +426,13 @@ def min_distance_bruteforce(M: CodeMatrix, max_words: int | None = None) -> int:
     route calls it; residue codes get their distance from
     `weight_enumerator` or the column search."""
     spec = M.spec
-    basis, _ = _rref(spec, M.values())
+    basis, _ = _rref(spec, M.entries)
     if not basis:
         raise ValueError("zero code has no minimum distance")
     limit = row_limit(max_words)
     if spec.q ** len(basis) > limit:
         raise SizeLimitError(f"{spec.q}^{len(basis)} codewords exceed the bound {limit}")
-    best = None
-    for word in _combination_stream(spec, basis, normalized=True):
-        w = sum(1 for v in word if v)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    return min(len(word) - word.count(0) for word in _combination_stream(spec, basis, normalized=True))
 
 
 def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None) -> int:
@@ -466,7 +444,7 @@ def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None
     per size, capped at rank + 1 by the Singleton bound.
     """
     spec = H.spec
-    rows, _ = _rref(spec, H.values())
+    rows, _ = _rref(spec, H.entries)
     n = H.ncols
     r = len(rows)
     if r == n:
@@ -476,20 +454,11 @@ def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None
         if math.comb(n, w) > limit:
             raise SizeLimitError(f"C({n},{w}) column subsets exceed the bound {limit}")
         for cols in combinations(range(n), w):
-            sub = [[row[c] for c in cols] for row in rows]
-            if _has_full_support_kernel(spec, sub, w):
+            # a kernel vector of the chosen columns with full support
+            basis = _kernel_basis(spec, [[row[c] for c in cols] for row in rows], w)
+            if basis and any(map(all, _combination_stream(spec, basis, normalized=True))):
                 return w
     raise ValueError("unreachable: every code has distance <= rank + 1")
-
-
-def _has_full_support_kernel(spec: FieldSpec, rows: list[list[int]], width: int) -> bool:
-    basis = _kernel_basis(spec, rows, width)
-    if not basis:
-        return False
-    for vec in _combination_stream(spec, basis, normalized=True):
-        if all(vec):
-            return True
-    return False
 
 
 def residue_min_distance(spec: EllipticCodeSpec) -> int:
@@ -501,7 +470,7 @@ def residue_min_distance(spec: EllipticCodeSpec) -> int:
     give it.  `min_distance_bruteforce` on the null space is the oracle.
     """
     if spec.field.q ** spec.m <= row_limit(None):
-        A = weight_enumerator(spec)
+        A = hstar_census(spec).code_weights
         return next(w for w in range(1, spec.n + 1) if A[w])
     return min_distance_dependent_columns(generator_matrix(spec))
 
@@ -512,13 +481,12 @@ def residue_min_distance(spec: EllipticCodeSpec) -> int:
 
 def rs_code(field: FieldSpec, n: int, k: int) -> CodeMatrix:
     """Generator of the [n, k] Reed-Solomon code evaluating polynomials of
-    degree < k at the first n field elements."""
+    degree < k at the values 0, 1, ..., n - 1."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if n > field.q:
         raise ValueError(f"need n <= q = {field.q} distinct evaluation points")
-    points = field.elements()[:n]
-    rows = tuple(tuple(x ** i for x in points) for i in range(k))
+    rows = tuple(tuple(field.pow_val(x, i) for x in range(n)) for i in range(k))
     return CodeMatrix(field, rows, ROLE_GENERATOR)
 
 
@@ -535,17 +503,18 @@ def mds_distribution(n: int, k: int) -> "Distribution":
     return Distribution(tuple(counts))
 
 
-def scale_columns(M: CodeMatrix, scalars: Sequence[FieldElement]) -> CodeMatrix:
-    """Multiply column j by scalars[j]; scalars must be nonzero (a zero
-    would change the code, not just its presentation)."""
+def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
+    """Multiply column j by the value scalars[j]; scalars must be nonzero
+    (a zero would change the code, not just its presentation)."""
     if len(scalars) != M.ncols:
         raise ValueError("one scalar per column required")
     for s in scalars:
-        if s.spec != M.spec:
+        if not 0 <= s < M.spec.q:
             raise FieldMismatchError("scalar outside the matrix field")
-        if s.is_zero():
+        if s == 0:
             raise ValueError("column scalars must be nonzero")
-    ent = tuple(tuple(e * s for e, s in zip(row, scalars)) for row in M.entries)
+    mul = M.spec.mul_val
+    ent = tuple(tuple(mul(e, s) for e, s in zip(row, scalars)) for row in M.entries)
     return CodeMatrix(M.spec, ent, M.role)
 
 

@@ -9,6 +9,7 @@ for identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ import sys
 from . import agcode, decoder, stoptheory
 from .curve import EllipticCurve, group_structure, parse_point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import is_prime, parse_element, parse_field
+from .ffield import field_str, is_prime, parse_element, parse_field
 from .groupcount import AbelianGroup, count_S_m, count_formula
 
 MDS_MAX_N = 4096
@@ -67,8 +68,6 @@ def _spec_for_curve(E: EllipticCurve, m: int, d_text: str) -> agcode.EllipticCod
 
 
 def _curve_header(E: EllipticCurve) -> dict:
-    from .ffield import field_str
-
     return {"field": field_str(E.field), "a": str(E.a), "b": str(E.b)}
 
 
@@ -90,7 +89,8 @@ def _cmd_points(args) -> int:
     E = _curve_from_args(args)
     pts = rational_points(E)
     payload = {"schema": 1, **_curve_header(E), "count": len(pts)}
-    payload["points"] = ["inf" if P.is_infinity else [str(P.x), str(P.y)] for P in pts]
+    text = E.field.format_element
+    payload["points"] = ["inf" if P.is_infinity else [text(P.x), text(P.y)] for P in pts]
     _emit(payload, args)
     return 0
 
@@ -104,7 +104,7 @@ def _cmd_structure(args) -> int:
         "order": gs.order,
         "m1": gs.m1,
         "m2": gs.m2,
-        "generators": [point_str(g) for g in gs.generators],
+        "generators": [point_str(E.field, g) for g in gs.generators],
     }
     _emit(payload, args)
     return 0
@@ -147,9 +147,9 @@ def _cmd_gen(args) -> int:
         **_curve_header(spec.curve),
         "m": spec.m,
         "n": spec.n,
-        "D": [point_str(P) for P in spec.D],
+        "D": [point_str(spec.field, P) for P in spec.D],
         "role": M.role,
-        "matrix": [[str(e) for e in row] for row in M.entries],
+        "matrix": [[spec.field.format_element(e) for e in row] for row in M.entries],
     }
     _emit(payload, args)
     return 0
@@ -166,7 +166,7 @@ def _cmd_report(args) -> int:
         **_curve_header(spec.curve),
         "m": spec.m,
         "n": spec.n,
-        "D": [point_str(P) for P in spec.D],
+        "D": [point_str(spec.field, P) for P in spec.D],
         "group": {"m1": rep.group.m1, "m2": rep.group.m2},
         "s_m_count": rep.S_m_count,
         "s_m": [list(A) for A in rep.S_m] if rep.S_m is not None else None,
@@ -221,9 +221,9 @@ def _cmd_decode(args) -> int:
         spec = _spec_from_args(args)
     f = spec.field
     if args.codeword == "zero":
-        word = [f.zero()] * spec.n
+        word = [0] * spec.n
     else:
-        word = [parse_element(f, t) for t in args.codeword.split(",")]
+        word = [parse_element(f, t).value for t in args.codeword.split(",")]
     erased = [int(i) for i in args.erased.split(",") if i.strip()]
     instance = decoder.make_instance(spec, word, erased)
     recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
@@ -233,7 +233,7 @@ def _cmd_decode(args) -> int:
         "m": spec.m,
         "n": spec.n,
         "erased": sorted(instance.erased),
-        "recovered": [None if v is None else str(v) for v in recovered],
+        "recovered": [None if v is None else f.format_element(v) for v in recovered],
         "residual": sorted(residual),
         "fully_recovered": not residual,
     }
@@ -295,21 +295,17 @@ def _verify_specs(max_q: int, max_m: int):
     each prime field 5 <= p <= max_q, every m in [2, max_m] with m < n and
     a streamable dual codebook."""
     limit = min(agcode.row_limit(None), 2 ** 17)
-    p = 5
-    while p <= max_q:
-        if is_prime(p):
-            field = parse_field(str(p))
-            for av in range(field.q):
-                for bv in range(field.q):
-                    try:
-                        E = EllipticCurve(field, field.from_value(av), field.from_value(bv))
-                    except ValueError:
-                        continue
-                    n = len(rational_points(E)) - 1
-                    for m in range(2, max_m + 1):
-                        if m < n and field.q ** m <= limit:
-                            yield agcode.spec_all_points(E, m)
-        p += 2
+    for p in filter(is_prime, range(5, max_q + 1, 2)):
+        field = parse_field(str(p))
+        for av, bv in itertools.product(range(p), repeat=2):
+            try:
+                E = EllipticCurve(field, field.from_value(av), field.from_value(bv))
+            except ValueError:
+                continue
+            n = len(rational_points(E)) - 1
+            for m in range(2, max_m + 1):
+                if m < n and field.q ** m <= limit:
+                    yield agcode.spec_all_points(E, m)
 
 
 def _cmd_verify(args) -> int:

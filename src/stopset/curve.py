@@ -1,6 +1,9 @@
 """Short Weierstrass curves y^2 = x^3 + ax + b over fields of
 characteristic >= 5, with exhaustive point enumeration and brute-force
-discovery of the group structure Z/m1 x Z/m2."""
+discovery of the group structure Z/m1 x Z/m2.
+
+Point coordinates are canonical field values, ints in [0, q); the curve's
+field does their arithmetic and gives their text form."""
 
 from __future__ import annotations
 
@@ -10,17 +13,21 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import FieldMismatchError, IntegrityError
-from .ffield import FieldElement, FieldSpec, parse_element, sqrt
+from .errors import FieldMismatchError, IntegrityError, SizeLimitError
+from .ffield import FieldElement, FieldSpec, parse_element
+
+# bound on the order census of group_structure, O(N^2) curve additions,
+# applied to the Hasse bound on N before any point is enumerated
+CENSUS_MAX_ORDER = 2 ** 11
 
 
 @dataclass(frozen=True)
 class Point:
-    """A curve point: affine coordinates, or the point at infinity when
-    both coordinates are None."""
+    """A curve point: affine coordinates as canonical field values, or the
+    point at infinity when both coordinates are None."""
 
-    x: FieldElement | None = None
-    y: FieldElement | None = None
+    x: int | None = None
+    y: int | None = None
 
     def __post_init__(self) -> None:
         if (self.x is None) != (self.y is None):
@@ -29,11 +36,6 @@ class Point:
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def __repr__(self) -> str:
-        if self.is_infinity:
-            return "O"
-        return f"({self.x}, {self.y})"
 
 
 INFINITY = Point()
@@ -50,16 +52,17 @@ class EllipticCurve:
             raise ValueError("short Weierstrass form needs characteristic >= 5")
         if self.a.spec != self.field or self.b.spec != self.field:
             raise FieldMismatchError("coefficients must live in the curve's field")
-        disc = self.field.scalar(4) * self.a ** 3 + self.field.scalar(27) * self.b ** 2
+        disc = self.field.element(4) * self.a ** 3 + self.field.element(27) * self.b ** 2
         if disc.is_zero():
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
 
     def is_on_curve(self, P: Point) -> bool:
         if P.is_infinity:
             return True
-        if P.x.spec != self.field:
+        f = self.field
+        if not (0 <= P.x < f.q and 0 <= P.y < f.q):
             return False
-        return P.y * P.y == P.x ** 3 + self.a * P.x + self.b
+        return f.mul_val(P.y, P.y) == _rhs(self, P.x)
 
     def __repr__(self) -> str:
         return f"E[y^2=x^3+{self.a}x+{self.b} over {self.field!r}]"
@@ -70,26 +73,39 @@ def curve(field: FieldSpec, a, b) -> EllipticCurve:
     return EllipticCurve(field, field.element(a), field.element(b))
 
 
+def _rhs(E: EllipticCurve, x: int) -> int:
+    """x^3 + ax + b on values."""
+    f = E.field
+    return f.add_val(f.mul_val(x, f.add_val(f.mul_val(x, x), E.a.value)), E.b.value)
+
+
+def hasse_bound(q: int) -> int:
+    """The largest point count the Hasse bound allows: q + 1 + 2 sqrt(q)."""
+    return q + 1 + math.isqrt(4 * q)
+
+
 def _check_point(E: EllipticCurve, P: Point) -> None:
     if not E.is_on_curve(P):
-        raise ValueError(f"{P!r} is not on {E!r}")
+        raise ValueError(f"{point_str(E.field, P)} is not on {E!r}")
 
 
 def _add_unchecked(E: EllipticCurve, P: Point, Q: Point) -> Point:
-    if P.is_infinity:
+    if P.x is None:
         return Q
-    if Q.is_infinity:
+    if Q.x is None:
         return P
+    f = E.field
+    sub, mul = f.sub_val, f.mul_val
     if P.x == Q.x:
-        if P.y == -Q.y:
+        if P.y == f.neg_val(Q.y):
             return INFINITY
         # tangent line; P == Q and y != 0 here
-        num = E.field.scalar(3) * P.x * P.x + E.a
-        lam = num * (E.field.scalar(2) * P.y).inverse()
+        num = f.add_val(mul(3, mul(P.x, P.x)), E.a.value)  # 3 < p
+        lam = mul(num, f.inv_val(mul(2, P.y)))
     else:
-        lam = (Q.y - P.y) * (Q.x - P.x).inverse()
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
+        lam = mul(sub(Q.y, P.y), f.inv_val(sub(Q.x, P.x)))
+    x3 = sub(sub(mul(lam, lam), P.x), Q.x)
+    y3 = sub(mul(lam, sub(P.x, x3)), P.y)
     return Point(x3, y3)
 
 
@@ -104,7 +120,7 @@ def neg(E: EllipticCurve, P: Point) -> Point:
     _check_point(E, P)
     if P.is_infinity:
         return P
-    return Point(P.x, -P.y)
+    return Point(P.x, E.field.neg_val(P.y))
 
 
 def scalar_mul(E: EllipticCurve, n: int, P: Point) -> Point:
@@ -134,13 +150,12 @@ def sum_points(E: EllipticCurve, points: Iterable[Point]) -> Point:
 def rational_points(E: EllipticCurve) -> tuple[Point, ...]:
     """All q-rational points in canonical order: infinity first, then the
     affine points sorted by (x, y) in field enumeration order."""
+    q = E.field.q
     pts = [INFINITY]
-    for x in E.field.elements():
-        rhs = x ** 3 + E.a * x + E.b
-        for y in sorted(sqrt(rhs), key=lambda e: e.value):
+    for x in range(q):
+        for y in E.field.sqrt_vals(_rhs(E, x)):
             pts.append(Point(x, y))
     N = len(pts)
-    q = E.field.q
     # Hasse: |N - q - 1| <= 2*sqrt(q); a violation means broken arithmetic
     if (N - q - 1) ** 2 > 4 * q:
         raise IntegrityError(f"point count {N} violates the Hasse bound for q={q}")
@@ -187,7 +202,11 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     candidate generators; hitting every point exactly once certifies that the
     pair generates a direct sum, which makes the map a bijection and (by the
     uniqueness of representations) an isomorphism.
+
+    Checks the Hasse bound on the order against CENSUS_MAX_ORDER first.
     """
+    if hasse_bound(E.field.q) > CENSUS_MAX_ORDER:
+        raise SizeLimitError(f"order up to {hasse_bound(E.field.q)} exceeds the census bound {CENSUS_MAX_ORDER}")
     pts = rational_points(E)
     N = len(pts)
     orders = {P: point_order(E, P) for P in pts}
@@ -214,15 +233,10 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
             row_start = _add_unchecked(E, row_start, g1)
         return table
 
-    if m1 == 1:
-        g1 = INFINITY
-        coord = build_map(g1)
-    else:
-        coord = None
-        g1 = INFINITY
-        for cand in pts:
-            if orders[cand] != m1:
-                continue
+    # when m1 = 1 the only candidate is pts[0], the point at infinity
+    coord, g1 = None, INFINITY
+    for cand in pts:
+        if orders[cand] == m1:
             coord = build_map(cand)
             if coord is not None:
                 g1 = cand
@@ -244,12 +258,13 @@ def parse_point(E: EllipticCurve, text: str) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"cannot parse point {text!r}")
-    P = Point(parse_element(E.field, parts[0]), parse_element(E.field, parts[1]))
+    P = Point(parse_element(E.field, parts[0]).value, parse_element(E.field, parts[1]).value)
     _check_point(E, P)
     return P
 
 
-def point_str(P: Point) -> str:
+def point_str(field: FieldSpec, P: Point) -> str:
+    """P in the field's text form, as the command line reads and prints it."""
     if P.is_infinity:
         return "inf"
-    return f"{P.x},{P.y}"
+    return f"{field.format_element(P.x)},{field.format_element(P.y)}"

@@ -1,12 +1,13 @@
 """Iterative peeling decoder for erasures.
 
-Parity-check rows are tuples of canonical field values, as `hstar_rows`
-streams them.  Any row meeting the erased set in exactly one position
-solves that position.  The first pass reads the rows once, so a one-shot
-stream is enough; each later pass revisits only the rows that still met two
-or more erased positions.  The decoder stalls exactly on the maximal
-stopping subset of the erased set when run over the full dual codebook,
-which is what ties decoding behaviour to stopping sets.
+Codewords, recovered words and parity-check rows hold canonical field
+values; rows are tuples, as `hstar_rows` streams them.  Any row meeting
+the erased set in exactly one position solves that position.  The first
+pass reads the rows once, so a one-shot stream is enough; each later pass
+revisits only the rows that still met two or more erased positions.  The
+decoder stalls exactly on the maximal stopping subset of the erased set
+when run over the full dual codebook, which is what ties decoding
+behaviour to stopping sets.
 """
 
 from __future__ import annotations
@@ -16,34 +17,37 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
 
-from .agcode import EllipticCodeSpec, generator_matrix, is_stopping_set_oracle
-from .errors import IntegrityError
-from .ffield import FieldElement, FieldSpec
+from .agcode import EllipticCodeSpec, generator_matrix, is_stopping_set_masks, subset_mask, support_masks
+from .errors import FieldMismatchError, IntegrityError
+from .ffield import FieldSpec
 
 
 @dataclass(frozen=True)
 class ErasureInstance:
-    codeword: tuple[FieldElement, ...]
+    field: FieldSpec
+    codeword: tuple[int, ...]  # canonical values
     erased: frozenset[int]  # 1-based positions
 
     def __post_init__(self) -> None:
+        if not all(0 <= v < self.field.q for v in self.codeword):
+            raise FieldMismatchError("codeword entry outside the field")
         for i in self.erased:
             if not 1 <= i <= len(self.codeword):
                 raise ValueError(f"erased position {i} outside [1, {len(self.codeword)}]")
 
 
-def make_instance(spec: EllipticCodeSpec, codeword: Sequence[FieldElement], erased: Iterable[int]) -> ErasureInstance:
+def make_instance(spec: EllipticCodeSpec, codeword: Sequence[int], erased: Iterable[int]) -> ErasureInstance:
     """Validate membership: the word must be orthogonal to every row of the
     evaluation matrix, i.e. lie in the residue code."""
     word = tuple(codeword)
     if len(word) != spec.n:
         raise ValueError(f"codeword length {len(word)} != n = {spec.n}")
+    instance = ErasureInstance(spec.field, word, frozenset(erased))
     dot = _dot(spec.field)
-    values = [c.value for c in word]
-    for row in generator_matrix(spec).values():
-        if dot(row, values):
+    for row in generator_matrix(spec).entries:
+        if dot(row, word):
             raise IntegrityError("word is not in the code (nonzero syndrome)")
-    return ErasureInstance(word, frozenset(erased))
+    return instance
 
 
 def _dot(f: FieldSpec) -> Callable[[Sequence[int], Sequence[int]], int]:
@@ -73,7 +77,7 @@ def peel(
     rows,
     instance: ErasureInstance,
     max_passes: int | None = None,
-) -> tuple[list[FieldElement | None], frozenset[int]]:
+) -> tuple[list[int | None], frozenset[int]]:
     """Run peeling passes until stable.
 
     rows holds parity-check rows as value tuples: a list, a one-shot
@@ -88,11 +92,11 @@ def peel(
     n = len(instance.codeword)
     if max_passes is None:
         max_passes = n
-    f = instance.codeword[0].spec
+    f = instance.field
     dot = _dot(f)
     # erased slots hold 0, so a row's syndrome on its known positions is a
     # plain inner product
-    values = [0 if j in instance.erased else c.value for j, c in enumerate(instance.codeword, 1)]
+    values = [0 if j in instance.erased else v for j, v in enumerate(instance.codeword, 1)]
     unknown_at = sorted(j - 1 for j in instance.erased)
     pending = _stream(rows)
     for _ in range(max_passes):
@@ -117,13 +121,11 @@ def peel(
         pending = kept
         if not progressed:
             break
-    recovered: list[FieldElement | None] = [
-        None if j in unknown_at else FieldElement(f, v) for j, v in enumerate(values)
-    ]
+    recovered: list[int | None] = [None if j in unknown_at else v for j, v in enumerate(values)]
     return recovered, frozenset(j + 1 for j in unknown_at)
 
 
 def residual_is_stopping(rows, residual: Iterable[int]) -> bool:
     """The stall certificate: the residual must be a stopping set of the
     rows the decoder ran over."""
-    return is_stopping_set_oracle(_stream(rows), residual)
+    return is_stopping_set_masks(support_masks(_stream(rows)), subset_mask(residual))

@@ -158,10 +158,6 @@ class FieldSpec:
         coeffs += [0] * (self.k - len(coeffs))
         return FieldElement(self, self.value_of(coeffs))
 
-    def scalar(self, n: int) -> "FieldElement":
-        # the integer n as n * 1 in the prime subfield
-        return FieldElement(self, n % self.p)
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
 
@@ -206,6 +202,8 @@ class FieldSpec:
         return self.value_of(-x for x in self.coeffs_of(a))
 
     def sub_val(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add_val(a, self.neg_val(b))
 
     def mul_val(self, a: int, b: int) -> int:
@@ -221,7 +219,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.q}")
         if self.k == 1:
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
         return self.pow_val(a, self.q - 2)
 
     def pow_val(self, a: int, e: int) -> int:
@@ -257,10 +255,12 @@ class FieldSpec:
 
     # -- formatting -----------------------------------------------------------
 
-    def format_element(self, a: "FieldElement") -> str:
+    def format_element(self, value: int) -> str:
+        """The text form of a value: the integer itself in a prime field,
+        dotted coefficients (constant first) in an extension."""
         if self.k == 1:
-            return str(a.value)
-        return ".".join(str(c) for c in self.coeffs_of(a.value))
+            return str(value)
+        return ".".join(str(c) for c in self.coeffs_of(value))
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -382,7 +382,7 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.pow_val(self.value, e))
 
     def __str__(self) -> str:
-        return self.spec.format_element(self)
+        return self.spec.format_element(self.value)
 
     def __repr__(self) -> str:
         return f"<{self} in {self.spec!r}>"

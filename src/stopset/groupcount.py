@@ -49,15 +49,15 @@ def moebius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    return _divisors_of(factorize(n))
+
+
+def _divisors_of(factors: dict[int, int]) -> list[int]:
+    """All divisors of the number factored as {prime: exponent}, ascending."""
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,9 @@ def count_formula(G: AbelianGroup, k: int, b: GroupElement) -> int:
     """Number of k-subsets of G \\ {0} summing to b, by Moebius inversion.
 
     The divisor sum runs over s | exp(G); the inner sum over divisors d of
-    gcd(e(b), s) weighs the d-torsion.  The grand total is divisible by the
+    gcd(e(b), s) weighs the d-torsion by mu(s/d).  Since mu vanishes off
+    the squarefree numbers, the inner sum runs over the squarefree t | s
+    with s/t | e(b), and d = s/t.  The grand total is divisible by the
     group order exactly, which is asserted.
     """
     N = G.order
@@ -212,11 +214,16 @@ def count_formula(G: AbelianGroup, k: int, b: GroupElement) -> int:
     if b.group != G:
         raise ValueError("target in a different group")
     eb = e_of_b(G, b)
+    factors = factorize(G.exponent)
     total = 0
-    for s in divisors(G.exponent):
+    for s in _divisors_of(factors):
         sign = -1 if (k + k // s) % 2 else 1
         outer = math.comb(N // s - 1, k // s)
-        inner = sum(moebius(s // d) * torsion_count(G, d) for d in divisors(math.gcd(eb, s)))
+        squarefree = [(1, 1)]  # (t, mu(t)) over the squarefree t | s
+        for p in factors:
+            if s % p == 0:
+                squarefree += [(t * p, -mu) for t, mu in squarefree]
+        inner = sum(mu * torsion_count(G, s // t) for t, mu in squarefree if eb % (s // t) == 0)
         total += sign * outer * inner
     if total % N:
         raise IntegrityError(f"count {total} not divisible by group order {N}")

@@ -28,12 +28,14 @@ from typing import Collection, Iterable, Sequence
 
 from . import agcode
 from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks, subset_mask
-from .curve import EllipticCurve, GroupStructure, Point, group_structure
+from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_bound, point_str
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup, subset_sum_table
 
 DEFAULT_ENUM_MAX_N = 24
 SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
+# bound on the subset-sum DP's work n * m * N, with N by the Hasse bound
+DP_MAX_WORK = 2 ** 23
 
 
 class Verdict(enum.Enum):
@@ -195,7 +197,11 @@ def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> li
 
 def count_S_m_of_spec(spec: EllipticCodeSpec) -> int:
     """#S(m) for the spec's own evaluation set: a subset-sum DP over the
-    points' coordinates in the curve group, stopped at layer m."""
+    points' coordinates in the curve group, stopped at layer m.  Checks
+    n * m * N against DP_MAX_WORK before the group is computed."""
+    work = spec.n * spec.m * hasse_bound(spec.field.q)
+    if work > DP_MAX_WORK:
+        raise SizeLimitError(f"subset-sum work n * m * N = {work} exceeds the bound {DP_MAX_WORK}")
     moduli, coords = _sum_context(spec)
     G = AbelianGroup.from_cyclic_factors(moduli)
     elements = [G.element(c for c, d in zip(pair, moduli) if d != 1) for pair in coords]
@@ -235,7 +241,7 @@ def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGrou
     pts = set()
     for P in D:
         if P not in gs.coordinate_map:
-            raise ValueError(f"{P!r} is not on {curve!r}")
+            raise ValueError(f"{point_str(curve.field, P)} is not on {curve!r}")
         pts.add(gs.coordinate_map[P])
     if (0, 0) in pts:
         return None

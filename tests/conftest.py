@@ -26,7 +26,7 @@ def ref_spec(ref_curve, f5):
     """The reference code: D holds the successive multiples of the base
     point (0, 1), so position i carries [i]P and index arithmetic mirrors
     the group structure.  m = 3."""
-    P1 = Point(f5.element(0), f5.element(1))
+    P1 = Point(0, 1)
     D = tuple(scalar_mul(ref_curve, i, P1) for i in range(1, 9))
     return EllipticCodeSpec(ref_curve, D, 3)
 

@@ -20,7 +20,6 @@ from stopset import (
     generator_matrix,
     hstar_rows,
     hstar_support_masks,
-    is_stopping_set_oracle,
     mds_distribution,
     min_distance_bruteforce,
     null_space,
@@ -41,13 +40,16 @@ from stopset.agcode import (
     row_limit,
     stopping_distribution_from_rows,
     subset_mask,
+    support_masks,
 )
 
 GOLDEN_DISTRIBUTION = (1, 0, 0, 6, 40, 56, 28, 8, 1)
 
 
-def all_row_combos(field, entry_rows):
-    """Oracle: every linear combination of the rows, by brute coefficients."""
+def all_row_combos(field, value_rows):
+    """Oracle: every linear combination of the rows, by brute coefficients
+    in FieldElement arithmetic."""
+    entry_rows = [[field.from_value(v) for v in row] for row in value_rows]
     out = []
     zero = field.element(0)
     for coeffs in itertools.product(field.elements(), repeat=len(entry_rows)):
@@ -84,7 +86,7 @@ def test_rr_basis_shape():
 def test_generator_matrix_shape(ref_spec):
     G = generator_matrix(ref_spec)
     assert (G.nrows, G.ncols) == (3, 8)
-    assert all(e.value == 1 for e in G.entries[0])  # constant function row
+    assert all(e == 1 for e in G.entries[0])  # constant function row
     assert matrix_rank(G) == 3
     xs = [P.x for P in ref_spec.D]
     ys = [P.y for P in ref_spec.D]
@@ -102,7 +104,7 @@ def test_spec_validation(ref_curve, f5):
         EllipticCodeSpec(ref_curve, good + (good[0],), 3)  # duplicate
     with pytest.raises(ValueError):
         EllipticCodeSpec(ref_curve, good + (INFINITY,), 3)
-    off = Point(f5.element(1), f5.element(1))
+    off = Point(1, 1)
     with pytest.raises(ValueError):
         EllipticCodeSpec(ref_curve, (good[0], off), 1)
 
@@ -128,11 +130,11 @@ def test_hstar_masks_match_full_stream(ref_spec):
 
 
 def test_oracle_trivia():
-    rows = [[1, 1, 0], [0, 1, 1]]
-    assert not is_stopping_set_oracle(rows, {1, 2})  # second row hits weight 1
-    assert is_stopping_set_oracle(rows, {1, 2, 3})
-    assert is_stopping_set_oracle(rows, set())  # empty set stops by definition
-    assert not is_stopping_set_oracle(rows, {3})
+    masks = support_masks([[1, 1, 0], [0, 1, 1]])
+    assert not is_stopping_set_masks(masks, subset_mask({1, 2}))  # second row hits weight 1
+    assert is_stopping_set_masks(masks, subset_mask({1, 2, 3}))
+    assert is_stopping_set_masks(masks, subset_mask(set()))  # empty set stops by definition
+    assert not is_stopping_set_masks(masks, subset_mask({3}))
     assert subset_mask({1, 3}) == 0b101
     assert is_stopping_set_masks([0b110, 0b011], 0b111)
     assert not is_stopping_set_masks([0b110, 0b011], 0b110)
@@ -177,19 +179,13 @@ def test_min_distance_on_rs_code():
 
 
 def test_min_distance_guards(f5):
-    one_row = CodeMatrix(f5, (tuple(f5.element(1) for _ in range(4)),), "generator")
+    one_row = CodeMatrix(f5, ((1, 1, 1, 1),), "generator")
     assert min_distance_bruteforce(one_row) == 4
     with pytest.raises(SizeLimitError):
         min_distance_bruteforce(one_row, max_words=2)
     with pytest.raises(SizeLimitError):
         min_distance_dependent_columns(one_row, max_subsets=1)
-    eye = CodeMatrix(
-        f5,
-        tuple(
-            tuple(f5.element(1 if i == j else 0) for j in range(2)) for i in range(2)
-        ),
-        "generator",
-    )
+    eye = CodeMatrix(f5, ((1, 0), (0, 1)), "generator")
     with pytest.raises(ValueError):
         min_distance_dependent_columns(eye)  # full rank checks only the zero code
 
@@ -231,18 +227,17 @@ def test_scaling_columns_preserves_stopping_sets(ref_spec):
     f = ref_spec.field
     rng = random.Random(7)
     G = generator_matrix(ref_spec)
-    col_scalars = tuple(f.element(rng.randrange(1, f.q)) for _ in range(G.ncols))
+    col_scalars = tuple(rng.randrange(1, f.q) for _ in range(G.ncols))
     scaled = scale_columns(G, col_scalars)
     orig = {support(w) for w in all_row_combos(f, G.entries)}
     new = {support(w) for w in all_row_combos(f, scaled.entries)}
     assert orig == new
     with pytest.raises(ValueError):
-        scale_columns(G, (f.element(0),) * G.ncols)
+        scale_columns(G, (0,) * G.ncols)
     with pytest.raises(ValueError):
         scale_columns(G, col_scalars[:-1])
-    f7 = FieldSpec(7)
     with pytest.raises(FieldMismatchError):
-        scale_columns(G, (f7.element(1),) * G.ncols)
+        scale_columns(G, (f.q,) * G.ncols)  # values run 0..q-1
 
 
 def test_submatrix_distributions_dominate(ref_spec):
@@ -307,11 +302,13 @@ def test_size_guards(ref_spec, monkeypatch):
 
 def test_matrix_validation(f5, f7):
     with pytest.raises(ValueError):
-        CodeMatrix(f5, ((f5.element(1),), (f5.element(1), f5.element(2))), "generator")
+        CodeMatrix(f5, ((1,), (1, 2)), "generator")
     with pytest.raises(ValueError):
-        CodeMatrix(f5, ((f5.element(1),),), "mystery")
+        CodeMatrix(f5, ((1,),), "mystery")
     with pytest.raises(FieldMismatchError):
-        CodeMatrix(f5, ((f7.element(1),),), "generator")
+        CodeMatrix(f5, ((f7.q - 1,),), "generator")  # a value of F_7, not of F_5
+    with pytest.raises(FieldMismatchError):
+        CodeMatrix(f5, ((-1,),), "generator")
 
 
 def mds_weights(q, n, k):

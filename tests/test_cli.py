@@ -275,6 +275,10 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["distribution"] == [1, 0, 0, 4, 1]
 
 
+F25 = ["--field", "5,2", "--a", "1", "--b", "2"]
+# a word of the m = 3 residue code on all 31 affine points of that curve
+F25_WORD = "2.0,2.0,2.2,1.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,2.3" + ",0.0" * 18
+
 # stdout digest and exit code of a fixed ladder of calls, so a change of
 # route cannot change a byte of what the commands print
 GOLDEN_LADDER = [
@@ -294,6 +298,18 @@ GOLDEN_LADDER = [
      "85738371d2dd15129665d22d761462fd8316ceb8c8f128892c534a7274ecd403"),
     (["decode", *REF, "--m", "3", "--erased", "1,3,5"], 0,
      "0b931d4140b4da3fd2bacf259111f989c5b01b294842d05b0a7d729ed470f0ad"),
+    # extension fields: dotted elements in and out of every printing command
+    (["points", *F25], 0,
+     "1ed8b07e7b2582db42fc312a2a2bc9c419b37f152b605b1dbb915faa84d45a33"),
+    (["structure", *F25], 0,
+     "977df630626d480ca072b0373b7d3f3c9d32bbeb5a00baa3667702b79c964cc4"),
+    (["gen", *F25, "--m", "3"], 0,
+     "e8b709db7d0433cb1c5c7b6ac5409f52adbeec8afc4d3231c4e02aca4e662403"),
+    (["report", "--field", "7,2", "--a", "1", "--b", "3", "--m", "2",
+      "--D", "1.3,1.3;1.3,6.4;6.2,0.1"], 0,
+     "7463d9298e329100fcc335ec900683f4713259f8b5562032f23118c587a0e8fa"),
+    (["decode", *F25, "--m", "3", "--codeword", F25_WORD, "--erased", "1,2,13"], 0,
+     "7fd184ec8080cdaf8bd58d065454c806c92e442d1de7ec4294eb5ed756ddf62d"),
 ]
 
 
@@ -327,12 +343,15 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_one_route_per_question(capsys, monkeypatch):
-    from stopset import stoptheory
+    from stopset import agcode, stoptheory
 
     names = ("enumerate_S_m", "count_S_m_of_spec", "is_subgroup_minus_O", "oracle_agreement_check")
     counts = _count_calls(monkeypatch, stoptheory, names)
+    transforms = _count_calls(monkeypatch, agcode, ("weight_enumerator", "macwilliams_transform"))
+    agcode.hstar_support_masks.cache_clear()  # the transform is cached with each H* pass
     doc = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "3"])
     assert counts == dict.fromkeys(names, doc["instances"])
+    assert transforms == dict.fromkeys(transforms, doc["instances"])
     counts.update(dict.fromkeys(names, 0))
     run_json(capsys, ["report", "--p", "31", "--a", "1", "--b", "2", "--m", "3"])
     assert counts["enumerate_S_m"] == counts["count_S_m_of_spec"] == 1
@@ -361,11 +380,13 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["groupcount", "--group", "100000", "--k", "50000"],
         ["groupcount", "--group", "1000000000000000000", "--k", "3"],
         ["mds", "--n", "20000", "--k", "10000"],
+        ["structure", "--p", "100003", "--a", "1", "--b", "3"],  # the order census
+        ["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "40"],  # the subset-sum DP
     ],
 )
 def test_size_bounds_exit_3(argv):
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "stopset", *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "stopset", *argv], capture_output=True, text=True, timeout=30)
     assert time.monotonic() - t0 < 2.0
     assert proc.returncode == 3
     assert "size bound exceeded" in proc.stderr

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -28,7 +29,7 @@ def brute_points(E):
     for x in E.field.elements():
         for y in E.field.elements():
             if y * y == x ** 3 + E.a * x + E.b:
-                pts.append(Point(x, y))
+                pts.append(Point(x.value, y.value))
     return pts
 
 
@@ -36,18 +37,18 @@ def test_reference_curve_points(ref_curve, f5):
     pts = rational_points(ref_curve)
     assert len(pts) == 9
     assert pts[0] is INFINITY
-    coords = [(P.x.value, P.y.value) for P in pts[1:]]
+    coords = [(P.x, P.y) for P in pts[1:]]
     assert coords == [(0, 1), (0, 4), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)]
     # canonical order: affine points ascend by (x, y) value
     assert coords == sorted(coords)
 
 
 def test_reference_base_point_multiples(ref_curve, f5):
-    P1 = Point(f5.element(0), f5.element(1))
+    P1 = Point(0, 1)
     expected = [(0, 1), (4, 2), (2, 1), (3, 4), (3, 1), (2, 4), (4, 3), (0, 4)]
     for i, (x, y) in enumerate(expected, start=1):
         Q = scalar_mul(ref_curve, i, P1)
-        assert (Q.x.value, Q.y.value) == (x, y)
+        assert (Q.x, Q.y) == (x, y)
     assert scalar_mul(ref_curve, 9, P1) is INFINITY
     assert point_order(ref_curve, P1) == 9
     assert point_order(ref_curve, scalar_mul(ref_curve, 3, P1)) == 3
@@ -56,8 +57,8 @@ def test_reference_base_point_multiples(ref_curve, f5):
 
 def test_membership(ref_curve, f5):
     assert ref_curve.is_on_curve(INFINITY)
-    assert ref_curve.is_on_curve(Point(f5.element(0), f5.element(1)))
-    assert not ref_curve.is_on_curve(Point(f5.element(1), f5.element(1)))
+    assert ref_curve.is_on_curve(Point(0, 1))
+    assert not ref_curve.is_on_curve(Point(1, 1))
 
 
 def test_point_enumeration_matches_bruteforce(f5, f7):
@@ -144,7 +145,7 @@ def test_structure_confirmed_by_order_census(f5, f7):
 
 
 def test_sum_points_reference(ref_curve, f5):
-    P1 = Point(f5.element(0), f5.element(1))
+    P1 = Point(0, 1)
     mult = [scalar_mul(ref_curve, i, P1) for i in range(9)]
     assert sum_points(ref_curve, [mult[1], mult[2], mult[6]]) is INFINITY
     assert sum_points(ref_curve, [mult[1], mult[2], mult[3]]) == mult[6]
@@ -159,8 +160,8 @@ def test_invalid_curves_rejected(f5):
 
 
 def test_off_curve_inputs_rejected(ref_curve, f5):
-    bad = Point(f5.element(1), f5.element(1))
-    good = Point(f5.element(0), f5.element(1))
+    bad = Point(1, 1)
+    good = Point(0, 1)
     with pytest.raises(ValueError):
         add(ref_curve, bad, good)
     with pytest.raises(ValueError):
@@ -171,10 +172,10 @@ def test_off_curve_inputs_rejected(ref_curve, f5):
 
 def test_point_parsing(ref_curve):
     P = parse_point(ref_curve, "0,1")
-    assert (P.x.value, P.y.value) == (0, 1)
+    assert (P.x, P.y) == (0, 1)
     assert parse_point(ref_curve, "inf") is INFINITY
-    assert point_str(P) == "0,1"
-    assert point_str(INFINITY) == "inf"
+    assert point_str(ref_curve.field, P) == "0,1"
+    assert point_str(ref_curve.field, INFINITY) == "inf"
     with pytest.raises(ValueError):
         parse_point(ref_curve, "1,1")  # not on the curve
 
@@ -189,3 +190,79 @@ def test_extension_field_curve():
     for P in pts[:6]:
         for Q in pts[:6]:
             assert add(E, P, Q) in pts
+
+
+def reference_add(E, P, Q):
+    """Chord-and-tangent written with FieldElement operators; the reference
+    the value-level group law is checked against."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    f = E.field
+    x1, y1, x2, y2 = (f.from_value(v) for v in (P.x, P.y, Q.x, Q.y))
+    if x1 == x2:
+        if y1 == -y2:
+            return INFINITY
+        lam = (f.element(3) * x1 * x1 + E.a) * (f.element(2) * y1).inverse()
+    else:
+        lam = (y2 - y1) * (x2 - x1).inverse()
+    x3 = lam * lam - x1 - x2
+    y3 = lam * (x1 - x3) - y1
+    return Point(x3.value, y3.value)
+
+
+def _check_law_on_pairs(E, pairs):
+    """add, neg and scalar_mul against the reference; returns the kinds of
+    pair seen: chord, doubling, P + (-P) and 2-torsion doubling."""
+    kinds = set()
+    for P, Q in pairs:
+        assert add(E, P, Q) == reference_add(E, P, Q), (P, Q)
+        if P.is_infinity or Q.is_infinity:
+            continue
+        if P.x != Q.x:
+            kinds.add("chord")
+        elif P == Q:
+            kinds.add("two-torsion" if P.y == 0 else "doubling")
+        else:
+            kinds.add("inverse")
+            assert neg(E, P) == Q
+    for P, _ in pairs:
+        acc = INFINITY
+        for k in range(5):
+            assert scalar_mul(E, k, P) == acc
+            acc = reference_add(E, acc, P)
+    return kinds
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_value_law_matches_reference_on_every_pair(p):
+    kinds = set()
+    for E in nonsingular_curves(FieldSpec(p)):
+        pts = rational_points(E)
+        kinds |= _check_law_on_pairs(E, [(P, Q) for P in pts for Q in pts])
+    assert kinds == {"chord", "doubling", "inverse", "two-torsion"}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_value_law_matches_reference_over_extensions(p):
+    f = FieldSpec(p, 2)
+    rng = random.Random(p)
+    curves = nonsingular_curves(f)
+    for E in rng.sample(curves, 3):
+        pts = rational_points(E)
+        pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(300)]
+        pairs += [(P, P) for P in pts] + [(P, neg(E, P)) for P in pts]
+        assert _check_law_on_pairs(E, pairs) >= {"chord", "doubling", "inverse"}
+
+
+def test_points_print_in_the_field_text_form():
+    f25 = FieldSpec(5, 2)
+    E = curve(f25, 1, 2)
+    P = parse_point(E, "2.1,4.2")
+    assert (P.x, P.y) == (2 + 5 * 1, 4 + 5 * 2)
+    assert point_str(f25, P) == "2.1,4.2"
+    off = Point(P.x, 0)
+    with pytest.raises(ValueError, match=r"^2\.1,0\.0 is not on"):
+        add(E, off, P)
+    assert not E.is_on_curve(Point(25, 0))  # values stay below q

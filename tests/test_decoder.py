@@ -12,6 +12,7 @@ from stopset import (
     EllipticCodeSpec,
     EllipticCurve,
     ErasureInstance,
+    FieldMismatchError,
     FieldSpec,
     IntegrityError,
     dual_rows,
@@ -58,6 +59,8 @@ def test_stall_on_stopping_set(ref_spec, star_rows, codeword):
         else:
             assert e == codeword[j - 1]
     assert residual_is_stopping(star_rows, residual)
+    assert not residual_is_stopping(star_rows, {1, 2, 3})  # peels fully, as in test_full_recovery
+    assert not residual_is_stopping(iter(star_rows), {1, 2})  # below m, never stopping
 
 
 def test_peel_to_maximal_stopping_subset(ref_spec, star_rows, codeword):
@@ -72,7 +75,7 @@ def test_recovery_iff_no_stopping_subset(ref_spec, star_rows, codeword):
     stopping = [set(s) for s in STOPPING_3 + enumerate_S_m1(ref_spec)]
     for size in range(6):
         for S in itertools.combinations(range(1, 9), size):
-            inst = ErasureInstance(codeword, frozenset(S))
+            inst = ErasureInstance(ref_spec.field, codeword, frozenset(S))
             recovered, residual = peel(star_rows, inst)
             hit = [s for s in stopping if s <= set(S)]
             if size >= 5:
@@ -117,23 +120,25 @@ def test_minimal_check_matrix_may_need_more_passes(ref_spec, codeword):
 def test_make_instance_validation(ref_spec, codeword, f5):
     with pytest.raises(ValueError):
         make_instance(ref_spec, codeword[:5], {1})
-    corrupted = (codeword[0] + f5.element(1),) + codeword[1:]
+    corrupted = (f5.add_val(codeword[0], 1),) + codeword[1:]
     with pytest.raises(IntegrityError):
         make_instance(ref_spec, corrupted, {1})
-    zero = tuple(f5.element(0) for _ in range(8))
+    zero = (0,) * 8
     assert make_instance(ref_spec, zero, {2}).erased == {2}
 
 
-def test_erased_positions_validated(codeword):
+def test_erased_positions_validated(codeword, f5):
     with pytest.raises(ValueError):
-        ErasureInstance(codeword, frozenset({0}))
+        ErasureInstance(f5, codeword, frozenset({0}))
     with pytest.raises(ValueError):
-        ErasureInstance(codeword, frozenset({9}))
+        ErasureInstance(f5, codeword, frozenset({9}))
+    with pytest.raises(FieldMismatchError):
+        ErasureInstance(f5, (5,) + codeword[1:], frozenset({1}))  # values stay below q
 
 
 def test_peel_flags_noncodeword(ref_spec, star_rows, codeword, f5):
-    corrupted = (codeword[0] + f5.element(1),) + codeword[1:]
-    inst = ErasureInstance(corrupted, frozenset())
+    corrupted = (f5.add_val(codeword[0], 1),) + codeword[1:]
+    inst = ErasureInstance(f5, corrupted, frozenset())
     with pytest.raises(IntegrityError):
         peel(star_rows, inst)
 
@@ -169,7 +174,7 @@ def test_one_shot_list_and_callable_agree(ref_spec, which):
     for row in null_space(generator_matrix(spec)).values():
         c = rng.randrange(1, f.q)
         word = [f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row)]
-    codeword = tuple(f.from_value(v) for v in word)
+    codeword = tuple(word)
     star = list(hstar_rows(spec))
     outcomes = set()
     for size in range(spec.n + 1):
@@ -193,8 +198,8 @@ def test_bad_row_known_only_in_a_later_pass_raises(f5, erased):
     # on, where its syndrome 4 + 4 + 0 = 3 is nonzero.  Position 5 is in no
     # row, so with it erased the check happens while an erasure remains.
     rows = [(1, 1, 1, 0, 0), (0, 1, 0, 1, 0), (1, 0, 0, 1, 0)]
-    word = tuple(f5.element(v) for v in (0, 0, 0, 1, 0))
-    inst = ErasureInstance(word, frozenset(erased))
+    word = (0, 0, 0, 1, 0)
+    inst = ErasureInstance(f5, word, frozenset(erased))
     recovered, residual = peel(rows, inst, max_passes=1)
     assert [str(v) for v in recovered[:2]] == ["4", "4"]
     assert residual == erased - {1, 2}

@@ -226,3 +226,10 @@ def test_groups_of_order_are_distinct():
         assert len({g.invariant_factors for g in groups}) == len(groups)
         for g in groups:
             assert g.order == n
+
+
+def test_formula_on_a_group_with_many_divisors():
+    # 963761198400 has 6720 divisors; the value was recorded from the
+    # formula's earlier form, which summed mu(s/d) over every d | gcd(e(b), s)
+    G = AbelianGroup((963761198400,))
+    assert count_formula(G, 3, G.identity()) == 154805941255936932561602
