@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .curve import EllipticCurve, Point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
@@ -223,20 +223,46 @@ class DualCensus:
 
 
 def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> DualCensus:
-    """Stream one representative per scalar class of the row space of the
-    independent length-n `rows`; scalar multiples share a support and a
-    weight, so each class adds its mask once and q - 1 to its weight's
-    count."""
+    """One representative per scalar class of the row space of the
+    independent length-n `rows`, taken by pencils; scalar multiples share a
+    support and a weight, so each class adds its mask once and q - 1 to its
+    weight's count.
+
+    The classes are g = rows[-1] and acc + c*g for every normalized
+    combination acc of the other rows and every c in F_q.  Along such a
+    pencil a coordinate j with g_j != 0 vanishes at c = -acc_j / g_j only,
+    and one with g_j = 0 keeps acc_j.  So the coordinates sharing a ratio
+    acc_j / g_j vanish together, at one scalar each ratio, and a pencil
+    costs O(n) field operations, one mask per distinct ratio, and one
+    shared "generic" mask for the scalars at which nothing vanishes."""
+    q = spec.q
     bits = [1 << j for j in range(n)]
     masks = set()
     hist = [0] * (n + 1)
-    for row in _combination_stream(spec, rows, normalized=True):
-        mask = sum(compress(bits, row))
-        masks.add(mask)
-        hist[mask.bit_count()] += 1
-    weights = [(spec.q - 1) * h for h in hist]
+    if rows:
+        g = rows[-1]
+        on_g = [bool(v) for v in g]
+        g_bits = list(compress(bits, on_g))
+        g_mask = sum(g_bits)
+        g_inv = [spec.inv_val(v) for v in compress(g, on_g)]
+        _, mul = spec.val_ops()
+        for acc in _combination_stream(spec, rows[:-1], normalized=True):
+            vanish: dict[int, int] = {}  # ratio -> the coordinates with it
+            for bit, ratio in zip(g_bits, map(mul, compress(acc, on_g), g_inv)):
+                vanish[ratio] = vanish.get(ratio, 0) | bit
+            generic = sum(compress(bits, acc)) | g_mask
+            for zeros in vanish.values():
+                mask = generic ^ zeros
+                masks.add(mask)
+                hist[mask.bit_count()] += 1
+            if len(vanish) < q:
+                masks.add(generic)
+                hist[generic.bit_count()] += q - len(vanish)
+        masks.add(g_mask)
+        hist[len(g_bits)] += 1
+    weights = [(q - 1) * h for h in hist]
     weights[0] += 1
-    return DualCensus(frozenset(masks), tuple(weights), spec.q, len(rows))
+    return DualCensus(frozenset(masks), tuple(weights), q, len(rows))
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +369,40 @@ def support_masks(rows: Iterable[Sequence[int]]) -> frozenset[int]:
 
 def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
     """True when no row, given by its support mask, meets the subset
-    s_mask in exactly one position: the definition of a stopping set."""
+    s_mask in exactly one position: the definition of a stopping set.
+
+    The reference test, one scan over the rows per subset; the census
+    check reads the same rows through `column_sets`."""
     for r in masks:
         if (r & s_mask).bit_count() == 1:
             return False
     return True
+
+
+def column_sets(masks: Collection[int], n: int) -> list[int]:
+    """The support masks transposed: one int per column j (0-based) whose
+    bit k is set when the k-th mask holds column j.  Raises ValueError for
+    a mask with a bit outside [0, n)."""
+    if not masks:
+        return [0] * n
+    if min(masks) < 0 or max(masks) >> n:
+        raise ValueError(f"a support mask has a bit outside the {n} columns")
+    # row k is the k-th block from the right, so the stepped slice of
+    # column j reads row 0 last, as its lowest bit
+    text = "".join([format(r, f"0{n}b") for r in reversed(list(masks))])
+    return [int(text[n - 1 - j :: n], 2) for j in range(n)]
+
+
+def is_stopping_set_columns(cols: Sequence[int], A: Iterable[int]) -> bool:
+    """The stopping test on `column_sets` output for the 1-based columns
+    A: `once` collects the rows meeting A, `twice` those meeting it at
+    least twice, and A is stopping iff no row meets it exactly once."""
+    once = twice = 0
+    for i in A:
+        c = cols[i - 1]
+        twice |= once & c
+        once |= c
+    return once == twice
 
 
 def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distribution":

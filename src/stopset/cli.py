@@ -15,12 +15,14 @@ import math
 import sys
 
 from . import agcode, decoder, stoptheory
-from .curve import EllipticCurve, group_structure, parse_point, point_str, rational_points
+from .curve import EllipticCurve, group_structure, hasse_bound, parse_point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import field_str, is_prime, parse_element, parse_field
 from .groupcount import AbelianGroup, count_S_m, count_formula
 
 MDS_MAX_N = 4096
+POINTS_MAX_ORDER = 2 ** 17  # `points` lists at most this many points (Hasse bound)
+GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most m * (Hasse bound) matrix entries
 GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 
@@ -87,6 +89,9 @@ def _add_curve_args(sub, with_m: bool, required: bool = True) -> None:
 
 def _cmd_points(args) -> int:
     E = _curve_from_args(args)
+    order = hasse_bound(E.field.q)
+    if order > POINTS_MAX_ORDER:
+        raise SizeLimitError(f"up to {order} points exceed the listing bound {POINTS_MAX_ORDER}")
     pts = rational_points(E)
     payload = {"schema": 1, **_curve_header(E), "count": len(pts)}
     text = E.field.format_element
@@ -140,7 +145,11 @@ def _cmd_groupcount(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
+    E = _curve_from_args(args)
+    entries = args.m * hasse_bound(E.field.q)
+    if entries > GEN_MAX_ENTRIES:
+        raise SizeLimitError(f"up to m * (Hasse bound) = {entries} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
+    spec = _spec_for_curve(E, args.m, args.D)
     M = agcode.generator_matrix(spec)
     payload = {
         "schema": 1,

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Collection, Iterable, Sequence
 
 from . import agcode
-from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks, subset_mask
+from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks
 from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_bound, point_str
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup, subset_sum_table
@@ -283,13 +283,17 @@ def oracle_agreement_check(
 ) -> list[dict]:
     """Compare classify against the parity-check oracle given by the H*
     support `masks` on subsets of sizes m-1..m+2 (all of them, or
-    `sample_cap` sampled per size); returns one record per disagreement."""
+    `sample_cap` sampled per size); returns one record per disagreement.
+
+    The masks are transposed once into column bitsets, so each subset
+    costs |A| big-int operations instead of a scan over every row."""
     rng = random.Random(seed)
+    cols = agcode.column_sets(masks, spec.n)
     mismatches = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
             by_rule = classify(spec, A).is_stopping
-            by_matrix = agcode.is_stopping_set_masks(masks, subset_mask(A))
+            by_matrix = agcode.is_stopping_set_columns(cols, A)
             if by_rule != by_matrix:
                 mismatches.append(
                     {"subset": list(A), "classify": by_rule, "oracle": by_matrix}

@@ -382,6 +382,8 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["mds", "--n", "20000", "--k", "10000"],
         ["structure", "--p", "100003", "--a", "1", "--b", "3"],  # the order census
         ["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "40"],  # the subset-sum DP
+        ["points", "--p", "1000003", "--a", "1", "--b", "3"],  # the point listing
+        ["gen", "--p", "1000003", "--a", "1", "--b", "3", "--m", "3"],  # the matrix entries
     ],
 )
 def test_size_bounds_exit_3(argv):
@@ -391,6 +393,55 @@ def test_size_bounds_exit_3(argv):
     assert proc.returncode == 3
     assert "size bound exceeded" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", [["points"], ["structure"], ["gen", "--m", "2"]], ids=["points", "structure", "gen"])
+@pytest.mark.parametrize(
+    "curve, message",
+    [
+        (["--p", "6", "--a", "1", "--b", "1"], "not prime"),
+        (["--field", "5,2,4.0.1", "--a", "1", "--b", "1"], "reducible"),
+        (["--p", "5", "--a", "0", "--b", "0"], "singular curve"),
+        (["--p", "7", "--a", "x", "--b", "1"], "invalid literal"),
+    ],
+    ids=["not-prime", "reducible", "singular", "bad-element"],
+)
+def test_bad_curve_exits_2(capsys, command, curve, message):
+    assert main([command[0], *curve, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+class _Enumerated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, inside",
+    [
+        (["points", "--p", "130349"], True),  # Hasse bound 2^17
+        (["points", "--p", "130363"], False),
+        (["gen", "--p", "348323", "--m", "3"], True),  # 3 * Hasse bound 2^20 - 64
+        (["gen", "--p", "348353", "--m", "3"], False),
+    ],
+)
+def test_points_and_gen_bounds_are_checked_first(capsys, monkeypatch, argv, inside):
+    from stopset import agcode, cli
+
+    def enumerated(*args):
+        raise _Enumerated
+
+    monkeypatch.setattr(cli, "rational_points", enumerated)
+    monkeypatch.setattr(agcode, "rational_points", enumerated)
+    argv = [*argv, "--a", "1", "--b", "3"]
+    if inside:
+        with pytest.raises(_Enumerated):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "size bound exceeded" in captured.err
 
 
 def test_readme_examples_inside_the_bounds(capsys):
