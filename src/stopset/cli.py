@@ -22,7 +22,7 @@ from .groupcount import AbelianGroup, count_S_m, count_formula
 
 MDS_MAX_N = 4096
 POINTS_MAX_ORDER = 2 ** 17  # `points` lists at most this many points (Hasse bound)
-GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most m * (Hasse bound) matrix entries
+GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most this many matrix entries, m * |D|
 GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 
@@ -146,10 +146,15 @@ def _cmd_groupcount(args) -> int:
 
 def _cmd_gen(args) -> int:
     E = _curve_from_args(args)
-    entries = args.m * hasse_bound(E.field.q)
-    if entries > GEN_MAX_ENTRIES:
-        raise SizeLimitError(f"up to m * (Hasse bound) = {entries} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
+    # all-minus-O is bounded before its points are enumerated, a given D
+    # after it is parsed
+    if args.D == "all-minus-O":
+        entries = args.m * hasse_bound(E.field.q)
+        if entries > GEN_MAX_ENTRIES:
+            raise SizeLimitError(f"up to m * (Hasse bound) = {entries} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
     spec = _spec_for_curve(E, args.m, args.D)
+    if spec.m * spec.n > GEN_MAX_ENTRIES:
+        raise SizeLimitError(f"m * |D| = {spec.m * spec.n} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
     M = agcode.generator_matrix(spec)
     payload = {
         "schema": 1,

@@ -1,6 +1,6 @@
 """Short Weierstrass curves y^2 = x^3 + ax + b over fields of
-characteristic >= 5, with exhaustive point enumeration and brute-force
-discovery of the group structure Z/m1 x Z/m2.
+characteristic >= 5, with exhaustive point enumeration and the group
+structure Z/m1 x Z/m2 from an order census.
 
 Point coordinates are canonical field values, ints in [0, q); the curve's
 field does their arithmetic and gives their text form."""
@@ -15,10 +15,11 @@ from typing import Iterable, Mapping
 
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldElement, FieldSpec, parse_element
+from .groupcount import factorize
 
-# bound on the order census of group_structure, O(N^2) curve additions,
-# applied to the Hasse bound on N before any point is enumerated
-CENSUS_MAX_ORDER = 2 ** 11
+# bound on the order census of group_structure, O(N log^2 N) curve
+# additions, applied to the Hasse bound on N before any point is enumerated
+CENSUS_MAX_ORDER = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -90,23 +91,24 @@ def _check_point(E: EllipticCurve, P: Point) -> None:
 
 
 def _add_unchecked(E: EllipticCurve, P: Point, Q: Point) -> Point:
-    if P.x is None:
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    if x1 is None:
         return Q
-    if Q.x is None:
+    if x2 is None:
         return P
     f = E.field
     sub, mul = f.sub_val, f.mul_val
-    if P.x == Q.x:
-        if P.y == f.neg_val(Q.y):
+    if x1 == x2:
+        # on the curve, equal x means Q = P or Q = -P
+        if y1 != y2 or y1 == 0:
             return INFINITY
         # tangent line; P == Q and y != 0 here
-        num = f.add_val(mul(3, mul(P.x, P.x)), E.a.value)  # 3 < p
-        lam = mul(num, f.inv_val(mul(2, P.y)))
+        num = f.add_val(mul(3, mul(x1, x1)), E.a.value)  # 3 < p
+        lam = mul(num, f.inv_val(mul(2, y1)))
     else:
-        lam = mul(sub(Q.y, P.y), f.inv_val(sub(Q.x, P.x)))
-    x3 = sub(sub(mul(lam, lam), P.x), Q.x)
-    y3 = sub(mul(lam, sub(P.x, x3)), P.y)
-    return Point(x3, y3)
+        lam = mul(sub(y2, y1), f.inv_val(sub(x2, x1)))
+    x3 = sub(sub(mul(lam, lam), x1), x2)
+    return Point(x3, sub(mul(lam, sub(x1, x3)), y1))
 
 
 def add(E: EllipticCurve, P: Point, Q: Point) -> Point:
@@ -128,12 +130,16 @@ def scalar_mul(E: EllipticCurve, n: int, P: Point) -> Point:
     _check_point(E, P)
     if n < 0:
         n, P = -n, neg(E, P)
+    return _mul_unchecked(E, n, P)
+
+
+def _mul_unchecked(E: EllipticCurve, n: int, P: Point) -> Point:
+    """[n]P for n >= 0 by double-and-add."""
     acc = INFINITY
-    base = P
     while n:
         if n & 1:
-            acc = _add_unchecked(E, acc, base)
-        base = _add_unchecked(E, base, base)
+            acc = _add_unchecked(E, acc, P)
+        P = _add_unchecked(E, P, P)
         n >>= 1
     return acc
 
@@ -163,13 +169,37 @@ def rational_points(E: EllipticCurve) -> tuple[Point, ...]:
 
 
 def point_order(E: EllipticCurve, P: Point) -> int:
+    """The order of P by repeated addition; the reference for the orders
+    group_structure reads off the factorization of the group order.  An
+    order past the Hasse bound means broken arithmetic."""
     _check_point(E, P)
+    limit = hasse_bound(E.field.q)
     n = 1
     acc = P
     while not acc.is_infinity:
+        if n == limit:
+            raise IntegrityError(f"{point_str(E.field, P)} has no order up to the Hasse bound {limit}")
         acc = _add_unchecked(E, acc, P)
         n += 1
     return n
+
+
+def _orders(E: EllipticCurve, pts: tuple[Point, ...]) -> dict[Point, int]:
+    """The order of every point of the group pts.  It divides N = #E, so
+    it is N stripped of each prime l | N for as long as [o/l]P = O (Cohen,
+    A Course in Computational Algebraic Number Theory, 1.4)."""
+    N = len(pts)
+    primes = tuple(factorize(N))
+    orders: dict[Point, int] = {}
+    for P in pts:
+        if P in orders:
+            continue
+        o = N
+        for ell in primes:
+            while o % ell == 0 and _mul_unchecked(E, o // ell, P).is_infinity:
+                o //= ell
+        orders[P] = orders[neg(E, P)] = o  # -P has the order of P
+    return orders
 
 
 @dataclass(frozen=True)
@@ -195,7 +225,7 @@ class GroupStructure:
 
 @lru_cache(maxsize=None)
 def group_structure(E: EllipticCurve) -> GroupStructure:
-    """Brute-force invariant factors by order census and generator search;
+    """Invariant factors by order census (_orders) and generator search;
     computed once per curve.
 
     The coordinate map is built by enumerating all m1*m2 combinations of the
@@ -209,7 +239,7 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
         raise SizeLimitError(f"order up to {hasse_bound(E.field.q)} exceeds the census bound {CENSUS_MAX_ORDER}")
     pts = rational_points(E)
     N = len(pts)
-    orders = {P: point_order(E, P) for P in pts}
+    orders = _orders(E, pts)
     m2 = 1
     for o in orders.values():
         m2 = math.lcm(m2, o)

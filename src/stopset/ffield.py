@@ -199,6 +199,9 @@ class FieldSpec:
     def neg_val(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
+        tables = _op_tables(self)
+        if tables is not None:
+            return tables[2][a]
         return self.value_of(-x for x in self.coeffs_of(a))
 
     def sub_val(self, a: int, b: int) -> int:
@@ -220,6 +223,9 @@ class FieldSpec:
             raise ZeroDivisionError(f"inverse of zero in F_{self.q}")
         if self.k == 1:
             return pow(a, -1, self.p)
+        tables = _op_tables(self)
+        if tables is not None:
+            return tables[3][a]
         return self.pow_val(a, self.q - 2)
 
     def pow_val(self, a: int, e: int) -> int:
@@ -244,7 +250,7 @@ class FieldSpec:
         tables = _op_tables(self)
         if tables is None:
             return self.add_val, self.mul_val
-        add, mul = tables
+        add, mul = tables[:2]
         return (lambda a, b: add[a][b]), (lambda a, b: mul[a][b])
 
     def sqrt_vals(self, a: int) -> tuple[int, ...]:
@@ -270,24 +276,47 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def _op_tables(spec: FieldSpec):
-    """(add, mul) lookup tables for small extension fields, else None."""
-    q = spec.q
+    """(add, mul, neg, inv) lookup tables for small extension fields, else
+    None; inv[0] is 0 and never read.
+
+    Addition is coefficientwise mod p, so its table grows one coefficient
+    at a time.  Multiplication goes through discrete logs to the primitive
+    element g of least value: a * b = g^(log a + log b).  Both cost O(q^2)
+    int operations and O(q) polynomial products."""
+    q, p = spec.q, spec.p
     if q > _OP_TABLE_BOUND:
         return None
-    p, mod = spec.p, spec.modulus
-    coeffs = [spec.coeffs_of(v) for v in range(q)]
-    add = tuple(
-        tuple(spec.value_of(x + y for x, y in zip(coeffs[a], coeffs[b])) for b in range(q))
-        for a in range(q)
-    )
-    mul = tuple(
-        tuple(
-            spec.value_of(_poly_rem(_poly_mul(coeffs[a], coeffs[b], p), mod, p))
-            for b in range(q)
-        )
-        for a in range(q)
-    )
-    return add, mul
+    digit = [[(a + b) % p for b in range(p)] for a in range(p)]
+    add = digit
+    for _ in range(spec.k - 1):
+        # a = a0 + p * a', b = b0 + p * b': the sum is digit[a0][b0] + p * add[a'][b']
+        add = [[d + p * h for h in add[a // p] for d in digit[a % p]] for a in range(p * len(add))]
+    exp = _powers_of_primitive(spec)
+    log = [0] * q
+    for e, v in enumerate(exp):
+        log[v] = e
+    exp = exp + exp  # exponents up to 2(q - 2) without a reduction
+    nonzero_logs = log[1:]
+    mul = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, nonzero_logs)] for a in range(1, q)]
+    inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+    return tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(mul[p - 1]), tuple(inv)
+
+
+def _powers_of_primitive(spec: FieldSpec) -> list[int]:
+    """[g^0, ..., g^(q-2)] for the generator g of F_q^* of least value."""
+    q, p, mod = spec.q, spec.p, spec.modulus
+    for g in range(2, q):
+        step = spec.coeffs_of(g)
+        powers, x = [1], [1]
+        while len(powers) < q:
+            x = _poly_rem(_poly_mul(x, step, p), mod, p)
+            v = spec.value_of(x)
+            if v == 1:
+                break
+            powers.append(v)
+        if len(powers) == q - 1:
+            return powers
+    raise ValueError(f"F_{q} has no primitive element")  # unreachable
 
 
 @lru_cache(maxsize=None)

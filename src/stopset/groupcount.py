@@ -246,6 +246,7 @@ def subset_sum_table(
 
     One dynamic-programming pass over (index, size, sum) that never fills a
     layer above `top`; the elements must be distinct members of one group.
+    The reference for the flat-list DP of stoptheory.count_S_m_of_spec.
     """
     if not elements:
         raise ValueError("need at least one element")
@@ -275,7 +276,8 @@ def subset_sum_table(
 
 
 def dp_count(elements: Sequence[GroupElement], k: int, b: GroupElement) -> int:
-    """Definitional count of k-subsets of `elements` summing to b."""
+    """Definitional count of k-subsets of `elements` summing to b; a
+    reference, like subset_sum_table."""
     if not 0 <= k <= len(elements):
         raise ValueError(f"subset size {k} outside [0, {len(elements)}]")
     return subset_sum_table(elements, k)[k].get(b.coords, 0)

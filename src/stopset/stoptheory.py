@@ -20,17 +20,20 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import agcode
 from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks
 from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_bound, point_str
 from .errors import IntegrityError, SizeLimitError
-from .groupcount import AbelianGroup, subset_sum_table
+from .groupcount import AbelianGroup
 
 DEFAULT_ENUM_MAX_N = 24
 SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
@@ -68,23 +71,57 @@ class StoppingStatus:
         return self.verdict in _STOPPING
 
 
+class _SumContext(NamedTuple):
+    moduli: tuple[int, int]
+    coords: tuple[tuple[int, int], ...]  # (c1, c2) of each point of D
+    packed: tuple[int, ...]  # packed[i] = c1 * M + c2 of P_i; packed[0] = 0
+    zeros: frozenset[int]  # the packed sums of m points that are O
+
+
 @lru_cache(maxsize=None)
-def _sum_context(spec: EllipticCodeSpec) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+def _sum_context(spec: EllipticCodeSpec) -> _SumContext:
     """Per-spec group context: the invariant factors (m1, m2) of the curve
     group and the coordinate pair of each point of D in Z/m1 x Z/m2, so
-    every sum of points is a componentwise sum mod (m1, m2)."""
+    every sum of points is a componentwise sum mod (m1, m2).
+
+    Each pair is also packed as c1 * M + c2 with M = (m + 2) * m2, above any
+    sum of m + 1 second coordinates, so one integer sum of up to m + 1
+    points carries both coordinates; the zero sums of m points are then the
+    packed (i * m1, j * m2) with i, j < m."""
     gs = group_structure(spec.curve)
-    return (gs.m1, gs.m2), tuple(gs.coordinate_map[P] for P in spec.D)
+    m1, m2, m = gs.m1, gs.m2, spec.m
+    coords = tuple(gs.coordinate_map[P] for P in spec.D)
+    M = (m + 2) * m2
+    packed = (0,) + tuple(c1 * M + c2 for c1, c2 in coords)
+    zeros = frozenset(i * m1 * M + j * m2 for i in range(m) for j in range(m))
+    return _SumContext((m1, m2), coords, packed, zeros)
 
 
-def _total(moduli: tuple[int, int], coords: Sequence[tuple[int, int]], A: Iterable[int]) -> tuple[int, int]:
-    """Coordinates of the sum of the points at positions A (1-based)."""
-    s1 = s2 = 0
+_BY_SIZE = (Verdict.STOPPING_BY_SIZE, None)
+_NOT_BY_SIZE = (Verdict.NOT_STOPPING_BY_SIZE, None)
+_SUM_ZERO = (Verdict.STOPPING_SUM_ZERO, None)
+_SUM_NONZERO = (Verdict.NOT_STOPPING_SUM_NONZERO, None)
+_NO_INTERIOR_ZERO = (Verdict.STOPPING_NO_INTERIOR_ZERO, None)
+
+
+def _rule(spec: EllipticCodeSpec, A: Sequence[int]) -> tuple[Verdict, int | None]:
+    """The size casework on the distinct positions A (1-based), through the
+    packed coordinates of _sum_context: the verdict, and the witness i
+    with sum(A \\ {i}) = O for the interior-zero verdict."""
+    size, m = len(A), spec.m
+    if size == 0 or size >= m + 2:
+        return _BY_SIZE
+    if size < m:
+        return _NOT_BY_SIZE
+    _, _, packed, zeros = _sum_context(spec)
+    total = sum([packed[i] for i in A])
+    if size == m:
+        return _SUM_ZERO if total in zeros else _SUM_NONZERO
+    # size m + 1: the sum of A \ {i} is the total less P_i, a sum of m points
     for i in A:
-        c1, c2 = coords[i - 1]
-        s1 += c1
-        s2 += c2
-    return s1 % moduli[0], s2 % moduli[1]
+        if total - packed[i] in zeros:
+            return Verdict.NOT_STOPPING_INTERIOR_ZERO, i
+    return _NO_INTERIOR_ZERO
 
 
 def _check_indices(spec: EllipticCodeSpec, A: Iterable[int]) -> tuple[int, ...]:
@@ -99,44 +136,14 @@ def classify(spec: EllipticCodeSpec, A: Iterable[int]) -> StoppingStatus:
 
     The empty set is stopping by definition and reports Stopping-BySize.
     """
-    A = _check_indices(spec, A)
-    m = spec.m
-    if len(A) == 0:
-        return StoppingStatus(Verdict.STOPPING_BY_SIZE)
-    if len(A) <= m - 1:
-        return StoppingStatus(Verdict.NOT_STOPPING_BY_SIZE)
-    if len(A) >= m + 2:
-        return StoppingStatus(Verdict.STOPPING_BY_SIZE)
-    moduli, coords = _sum_context(spec)
-    total = _total(moduli, coords, A)
-    if len(A) == m:
-        if total == (0, 0):
-            return StoppingStatus(Verdict.STOPPING_SUM_ZERO)
-        return StoppingStatus(Verdict.NOT_STOPPING_SUM_NONZERO)
-    # size m + 1: sum(A \ {i}) = O exactly when P_i equals the full sum
-    for i in A:
-        if coords[i - 1] == total:
-            return StoppingStatus(Verdict.NOT_STOPPING_INTERIOR_ZERO, witness=i)
-    return StoppingStatus(Verdict.STOPPING_NO_INTERIOR_ZERO)
+    return StoppingStatus(*_rule(spec, _check_indices(spec, A)))
 
 
 def enumerate_S_m(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_N) -> list[tuple[int, ...]]:
     """All size-m stopping sets, in lexicographic order."""
     if spec.n > max_n:
         raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {max_n}")
-    (m1, m2), coords = _sum_context(spec)
-    m = spec.m
-    # pack (c1, c2) as c1 * M + c2 with M above any sum of m second
-    # coordinates, so one integer sum carries both; the zero sums are then
-    # the packed (i * m1, j * m2) with i, j < m
-    M = m * m2
-    packed = [c1 * M + c2 for c1, c2 in coords]
-    zeros = {i * m1 * M + j * m2 for i in range(m) for j in range(m)}
-    return [
-        A
-        for A, vals in zip(combinations(range(1, spec.n + 1), m), combinations(packed, m))
-        if sum(vals) in zeros
-    ]
+    return [A for A in combinations(range(1, spec.n + 1), spec.m) if _rule(spec, A) is _SUM_ZERO]
 
 
 def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -182,13 +189,12 @@ def enumerate_S_m1_direct(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_
 
 
 def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Invert the extension map: each member I of S+(m) sums to one of its
-    own points P_j, and dropping that j returns the size-m stopping set."""
-    moduli, coords = _sum_context(spec)
+    """Invert the extension map: each member I of S+(m) is a size-(m+1)
+    set with an interior zero, the point P_j that the whole of I sums to,
+    and dropping that j returns the size-m stopping set."""
     out = set()
     for I in S_plus:
-        total = _total(moduli, coords, I)
-        j = next((i for i in I if coords[i - 1] == total), None)
+        _, j = _rule(spec, _check_indices(spec, I))
         if j is None:
             raise IntegrityError(f"{I} does not sum to any of its own points")
         out.add(tuple(i for i in I if i != j))
@@ -198,14 +204,30 @@ def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> li
 def count_S_m_of_spec(spec: EllipticCodeSpec) -> int:
     """#S(m) for the spec's own evaluation set: a subset-sum DP over the
     points' coordinates in the curve group, stopped at layer m.  Checks
-    n * m * N against DP_MAX_WORK before the group is computed."""
-    work = spec.n * spec.m * hasse_bound(spec.field.q)
+    n * m * N against DP_MAX_WORK before the group is computed.
+
+    Layer k is one flat list of N counts, the number of k-subsets of the
+    points seen so far summing to each c1 * m2 + c2.  A point (c1, c2)
+    adds layer k - 1, rotated by it, into layer k: each m2-block rolls by
+    c2 and the blocks roll by c1.  groupcount.subset_sum_table is the
+    reference."""
+    m = spec.m
+    work = spec.n * m * hasse_bound(spec.field.q)
     if work > DP_MAX_WORK:
         raise SizeLimitError(f"subset-sum work n * m * N = {work} exceeds the bound {DP_MAX_WORK}")
-    moduli, coords = _sum_context(spec)
-    G = AbelianGroup.from_cyclic_factors(moduli)
-    elements = [G.element(c for c, d in zip(pair, moduli) if d != 1) for pair in coords]
-    return subset_sum_table(elements, spec.m)[spec.m].get(G.identity().coords, 0)
+    ctx = _sum_context(spec)
+    m1, m2 = ctx.moduli
+    N = m1 * m2
+    layers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(m)]
+    for seen, (c1, c2) in enumerate(ctx.coords):
+        for k in range(min(seen + 1, m), 0, -1):
+            below, rotated = layers[k - 1], []
+            for b1 in range(m1):
+                start = (b1 - c1) % m1 * m2
+                block = below[start:start + m2]
+                rotated += block[m2 - c2:] + block[:m2 - c2]
+            layers[k] = list(map(operator.add, layers[k], rotated))
+    return layers[m][0]
 
 
 def stopping_distance(spec: EllipticCodeSpec) -> int:
@@ -272,18 +294,37 @@ def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tupl
     total = math.comb(n, size)
     if total <= cap:
         return list(combinations(range(1, n + 1), size))
-    out = set()
-    while len(out) < cap:
-        out.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
-    return sorted(out)
+    # cap distinct ranks below C(n, size), each unranked in the
+    # combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the set
+    # c_1 < ... < c_s of 0-based positions has rank r = sum of C(c_i, i),
+    # so c_s is the largest c with C(c, s) <= r, and so on down with
+    # r - C(c_s, s).  Position n - c_i stands for c_i: that reverses the
+    # order of the sets, so descending ranks give the subsets in ascending
+    # order, each one ascending.  The loop unranks one level of every rank
+    # at a time, a column of positions per level.
+    if total <= sys.maxsize:
+        ranks = rng.sample(range(total), cap)
+    else:  # past what random.sample can index; collisions are then rare
+        ranks = set()
+        while len(ranks) < cap:
+            ranks.add(rng.randrange(total))
+    ranks = sorted(ranks, reverse=True)
+    columns = []
+    for i in range(size, 0, -1):
+        row = [math.comb(c, i) for c in range(n)]
+        cs = [bisect_right(row, r) - 1 for r in ranks]
+        ranks = list(map(operator.sub, ranks, map(row.__getitem__, cs)))
+        columns.append([n - c for c in cs])
+    return list(zip(*columns))
 
 
 def oracle_agreement_check(
     spec: EllipticCodeSpec, masks: Collection[int], sample_cap: int = 5000, seed: int = 0
 ) -> list[dict]:
-    """Compare classify against the parity-check oracle given by the H*
-    support `masks` on subsets of sizes m-1..m+2 (all of them, or
-    `sample_cap` sampled per size); returns one record per disagreement.
+    """Compare the size casework that classify applies against the
+    parity-check oracle given by the H* support `masks` on subsets of sizes
+    m-1..m+2 (all of them, or `sample_cap` sampled per size); returns one
+    record per disagreement.
 
     The masks are transposed once into column bitsets, so each subset
     costs |A| big-int operations instead of a scan over every row."""
@@ -292,7 +333,7 @@ def oracle_agreement_check(
     mismatches = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
-            by_rule = classify(spec, A).is_stopping
+            by_rule = _rule(spec, A)[0] in _STOPPING
             by_matrix = agcode.is_stopping_set_columns(cols, A)
             if by_rule != by_matrix:
                 mismatches.append(

@@ -310,6 +310,9 @@ GOLDEN_LADDER = [
      "7463d9298e329100fcc335ec900683f4713259f8b5562032f23118c587a0e8fa"),
     (["decode", *F25, "--m", "3", "--codeword", F25_WORD, "--erased", "1,2,13"], 0,
      "7fd184ec8080cdaf8bd58d065454c806c92e442d1de7ec4294eb5ed756ddf62d"),
+    # the reach of the group law: N = 1060, Z/2 x Z/530
+    (["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "4"], 0,
+     "ee31e824ab9394e7afd9ed798b7bdfc27e8797fe1b6b824eb4b3f51054202f37"),
 ]
 
 
@@ -442,6 +445,23 @@ def test_points_and_gen_bounds_are_checked_first(capsys, monkeypatch, argv, insi
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "size bound exceeded" in captured.err
+
+
+GEN_D = "2,231543;3,828842;4,737829;6,15"  # on y^2 = x^3 + x + 3 over F_1000003
+
+
+@pytest.mark.parametrize("bound, code", [(8, 0), (7, 3)])
+def test_gen_bounds_a_given_D_by_its_size(capsys, monkeypatch, bound, code):
+    from stopset import cli
+
+    monkeypatch.setattr(cli, "GEN_MAX_ENTRIES", bound)
+    argv = ["gen", "--p", "1000003", "--a", "1", "--b", "3", "--m", "2", "--D", GEN_D]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "m * |D| = 8 matrix entries" in captured.err
+    else:
+        assert json.loads(captured.out)["matrix"] == [["1"] * 4, ["2", "3", "4", "6"]]
 
 
 def test_readme_examples_inside_the_bounds(capsys):

@@ -1,0 +1,258 @@
+"""The packed-int routes of the group-law half of `report`, each against
+the slower route it replaced, kept here as the reference:
+
+- the order census of group_structure against point_order by repeated
+  addition, with the generator search on top of it;
+- the flat-list #S(m) DP against groupcount.subset_sum_table;
+- the packed size casework against sums of curve points;
+- the ranked sampler against its contract;
+- the extension-field tables against polynomial arithmetic.
+"""
+
+from __future__ import annotations
+
+import importlib
+import itertools
+import math
+import random
+
+import pytest
+
+from stopset import (
+    INFINITY,
+    AbelianGroup,
+    EllipticCodeSpec,
+    FieldSpec,
+    IntegrityError,
+    SizeLimitError,
+    StoppingStatus,
+    Verdict,
+    add,
+    classify,
+    curve,
+    enumerate_S_m,
+    group_structure,
+    point_order,
+    rational_points,
+    recover_S_m,
+    scalar_mul,
+    sum_points,
+)
+from stopset.curve import CENSUS_MAX_ORDER, _orders, hasse_bound
+from stopset.ffield import _op_tables, _poly_mul, _poly_rem
+from stopset.groupcount import subset_sum_table
+from stopset.stoptheory import count_S_m_of_spec, sample_subsets
+
+from conftest import nonsingular_curves
+
+
+def census_reference(E):
+    """The census by repeated addition: every order from point_order, m2
+    their lcm, g2 the first point of order m2 and g1 the first point of
+    order m1 whose multiples with g2 cover the group once."""
+    pts = rational_points(E)
+    orders = {P: point_order(E, P) for P in pts}
+    m2 = math.lcm(*orders.values())
+    m1 = len(pts) // m2
+    g2 = next(P for P in pts if orders[P] == m2)
+    for g1 in (P for P in pts if orders[P] == m1):
+        table = {}
+        for c1, c2 in itertools.product(range(m1), range(m2)):
+            table.setdefault(add(E, scalar_mul(E, c1, g1), scalar_mul(E, c2, g2)), (c1, c2))
+        if len(table) == len(pts):
+            return orders, m1, m2, (g1, g2), table
+    raise AssertionError("no generator pair covers the group")
+
+
+def seeded_curves(field, count, seed):
+    return random.Random(seed).sample(nonsingular_curves(field), count)
+
+
+CENSUS_CURVES = [
+    *nonsingular_curves(FieldSpec(5)),
+    *nonsingular_curves(FieldSpec(7)),
+    *seeded_curves(FieldSpec(5, 2), 3, 25),
+    *seeded_curves(FieldSpec(7, 2), 3, 49),
+]
+
+
+def _check_census(E):
+    orders, m1, m2, generators, table = census_reference(E)
+    assert _orders(E, rational_points(E)) == orders
+    gs = group_structure(E)
+    assert (gs.m1, gs.m2) == (m1, m2)
+    assert gs.generators == generators
+    assert dict(gs.coordinate_map) == table
+    return m1
+
+
+def test_census_matches_repeated_addition():
+    assert max(_check_census(E) for E in CENSUS_CURVES) > 1
+
+
+def test_census_matches_repeated_addition_at_n_1060():
+    E = curve(FieldSpec(1009), 1, 3)
+    assert _check_census(E) == 2
+    assert group_structure(E).order == 1060
+
+
+def test_point_order_stops_at_the_hasse_bound(monkeypatch):
+    E = curve(FieldSpec(5), 1, 1)
+    P = rational_points(E)[1]
+    monkeypatch.setattr(importlib.import_module("stopset.curve"), "_add_unchecked", lambda E, P, Q: P)
+    with pytest.raises(IntegrityError, match="Hasse bound 10"):
+        point_order(E, P)
+
+
+@pytest.mark.parametrize("p, inside", [(8011, True), (8017, False)])  # Hasse bounds 8191, 8197
+def test_census_bound(monkeypatch, p, inside):
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(E):
+        raise Enumerated
+
+    assert (hasse_bound(p) <= CENSUS_MAX_ORDER) == inside
+    monkeypatch.setattr(importlib.import_module("stopset.curve"), "rational_points", enumerated)
+    with pytest.raises(Enumerated if inside else SizeLimitError):
+        group_structure(curve(FieldSpec(p), 1, 3))
+
+
+# -- the #S(m) DP ---------------------------------------------------------------
+
+
+def dp_reference(spec):
+    """#S(m) by subset_sum_table over GroupElement coordinates."""
+    gs = group_structure(spec.curve)
+    moduli = (gs.m1, gs.m2)
+    G = AbelianGroup.from_cyclic_factors(moduli)
+    elements = [
+        G.element(c for c, d in zip(gs.coordinate_map[P], moduli) if d != 1) for P in spec.D
+    ]
+    return subset_sum_table(elements, spec.m)[spec.m].get(G.identity().coords, 0)
+
+
+def evaluation_sets(E, rng):
+    """D = E \\ {O}; E[d] \\ {O} for the exponent e over its least prime;
+    every second point; two seeded subsets that are not subgroups."""
+    affine = rational_points(E)[1:]
+    e = group_structure(E).m2
+    d = e // min(p for p in range(2, e + 1) if e % p == 0)
+    sets = {
+        "all": affine,
+        "torsion": tuple(P for P in affine if scalar_mul(E, d, P) == INFINITY),
+        "every-second": affine[::2],
+    }
+    for k in range(2):
+        size = rng.randrange(1, len(affine) + 1)
+        sets[f"seeded-{k}"] = tuple(rng.sample(affine, size))
+    return sets
+
+
+def test_flat_dp_matches_subset_sum_table():
+    rng = random.Random(8)
+    curves = [*CENSUS_CURVES, curve(FieldSpec(31), 1, 2), curve(FieldSpec(29), 0, 3)]
+    shapes = set()
+    for E in curves:
+        for kind, D in evaluation_sets(E, rng).items():
+            for m in range(1, min(len(D) - 1, 5) + 1):
+                spec = EllipticCodeSpec(E, D, m)
+                assert count_S_m_of_spec(spec) == dp_reference(spec), (E, kind, m)
+                shapes.add(group_structure(E).m1 > 1)
+    assert shapes == {False, True}
+
+
+# -- the size casework ------------------------------------------------------------
+
+
+def status_reference(spec, A):
+    """The size casework on sums of curve points."""
+    m, pts = spec.m, [spec.D[i - 1] for i in A]
+    if not A or len(A) >= m + 2:
+        return StoppingStatus(Verdict.STOPPING_BY_SIZE)
+    if len(A) < m:
+        return StoppingStatus(Verdict.NOT_STOPPING_BY_SIZE)
+    if len(A) == m:
+        if sum_points(spec.curve, pts) == INFINITY:
+            return StoppingStatus(Verdict.STOPPING_SUM_ZERO)
+        return StoppingStatus(Verdict.NOT_STOPPING_SUM_NONZERO)
+    for k, i in enumerate(A):
+        if sum_points(spec.curve, pts[:k] + pts[k + 1:]) == INFINITY:
+            return StoppingStatus(Verdict.NOT_STOPPING_INTERIOR_ZERO, witness=i)
+    return StoppingStatus(Verdict.STOPPING_NO_INTERIOR_ZERO)
+
+
+def casework_specs():
+    rng = random.Random(11)
+    for E in [curve(FieldSpec(5), 1, 1), curve(FieldSpec(5), 4, 0), curve(FieldSpec(7), 3, 2),
+              curve(FieldSpec(7), 6, 0), *seeded_curves(FieldSpec(5, 2), 1, 5)]:
+        for kind, D in evaluation_sets(E, rng).items():
+            for m in range(2, min(len(D) - 1, 4) + 1):
+                if len(D) <= 12:
+                    yield EllipticCodeSpec(E, D, m)
+
+
+def test_packed_casework_matches_point_sums():
+    verdicts = set()
+    for spec in casework_specs():
+        m = spec.m
+        for size in range(m - 1, min(m + 2, spec.n) + 1):
+            for A in itertools.combinations(range(1, spec.n + 1), size):
+                want = status_reference(spec, A)
+                assert classify(spec, A) == want, (spec, A)
+                verdicts.add(want.verdict)
+        want_sets = [
+            A for A in itertools.combinations(range(1, spec.n + 1), m)
+            if status_reference(spec, A).is_stopping
+        ]
+        assert enumerate_S_m(spec) == want_sets
+        plus = [
+            A for A in itertools.combinations(range(1, spec.n + 1), m + 1)
+            if status_reference(spec, A).verdict is Verdict.NOT_STOPPING_INTERIOR_ZERO
+        ]
+        assert recover_S_m(spec, plus) == sorted({
+            tuple(i for i in A if i != status_reference(spec, A).witness) for A in plus
+        })
+    assert verdicts == set(Verdict)
+
+
+# -- the sampler ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, size, cap", [(20, 5, 100), (9, 3, 10), (40, 6, 2000), (12, 1, 5), (12, 11, 5), (200, 20, 10)]
+)  # C(200, 20) is past sys.maxsize
+def test_sampled_subsets_are_distinct_sorted_and_in_range(n, size, cap):
+    for seed in range(5):
+        got = sample_subsets(n, size, cap, random.Random(seed))
+        assert len(got) == cap == len(set(got))
+        assert got == sorted(got)
+        for A in got:
+            assert len(A) == size and list(A) == sorted(set(A))
+            assert 1 <= A[0] and A[-1] <= n
+        assert got == sample_subsets(n, size, cap, random.Random(seed))
+
+
+def test_sampler_reaches_every_subset():
+    seen = set()
+    for seed in range(300):
+        seen.update(sample_subsets(9, 3, 10, random.Random(seed)))
+    assert seen == set(itertools.combinations(range(1, 10), 3))
+
+
+# -- extension-field tables -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 2), (5, 3), (11, 2)])
+def test_op_tables_match_polynomial_arithmetic(p, k):
+    f = FieldSpec(p, k)
+    add_table, mul_table, neg_table, inv_table = _op_tables(f)
+    for a, b in itertools.product(range(f.q), repeat=2):
+        ca, cb = f.coeffs_of(a), f.coeffs_of(b)
+        assert add_table[a][b] == f.value_of(x + y for x, y in zip(ca, cb))
+        assert mul_table[a][b] == f.value_of(_poly_rem(_poly_mul(ca, cb, p), f.modulus, p))
+    for a in range(f.q):
+        assert neg_table[a] == f.value_of(-x for x in f.coeffs_of(a))
+        assert f.neg_val(a) == neg_table[a] and f.sub_val(0, a) == neg_table[a]
+        if a:
+            assert mul_table[a][inv_table[a]] == 1 and f.inv_val(a) == inv_table[a]
