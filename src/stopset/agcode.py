@@ -24,24 +24,22 @@ from .curve import EllipticCurve, Point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldSpec
 
-DEFAULT_ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
+ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
 ROW_LIMIT_ENV = "STOPSET_MAX_ROWS"
-DEFAULT_SUBSET_LIMIT = 10 ** 6
+SUBSET_LIMIT = 10 ** 6
 
 ROLE_GENERATOR = "generator"
 ROLE_PARITY = "parity-check"
 
 
-def row_limit(override: int | None = None) -> int:
-    """Effective bound on streamed dual rows; the environment variable
-    STOPSET_MAX_ROWS replaces the default, an explicit argument wins.
+def row_limit() -> int:
+    """Effective bound on streamed dual rows: ROW_LIMIT, or the
+    environment variable STOPSET_MAX_ROWS when it is set.
 
     Raises ValueError when the variable is not a positive integer."""
-    if override is not None:
-        return override
     env = os.environ.get(ROW_LIMIT_ENV)
     if not env:
-        return DEFAULT_ROW_LIMIT
+        return ROW_LIMIT
     try:
         limit = int(env)
     except ValueError:
@@ -49,6 +47,17 @@ def row_limit(override: int | None = None) -> int:
     if limit < 1:
         raise ValueError(f"{ROW_LIMIT_ENV} must be a positive integer, got {env!r}")
     return limit
+
+
+def rows_fit(q: int, dim: int) -> bool:
+    """True when the q^dim words of a dim-dimensional space fit the row
+    bound; every route that streams such a space asks this first."""
+    return q ** dim <= row_limit()
+
+
+def _require_rows(q: int, dim: int, what: str) -> None:
+    if not rows_fit(q, dim):
+        raise SizeLimitError(f"{q}^{dim} {what} exceed the bound {row_limit()}")
 
 
 @dataclass(frozen=True)
@@ -187,19 +196,16 @@ def _combination_stream(
         yield from walk(lead + 1, base)
 
 
-def dual_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+def dual_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
     """Stream all q^m words of the dual (the evaluation code) as canonical
     value tuples, zero first, in coefficient-odometer order."""
-    limit = row_limit(max_rows)
-    q = spec.field.q
-    if q ** spec.m > limit:
-        raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
+    _require_rows(spec.field.q, spec.m, "dual rows")
     yield from _combination_stream(spec.field, generator_matrix(spec).entries, normalized=False)
 
 
-def hstar_rows(spec: EllipticCodeSpec, max_rows: int | None = None) -> Iterator[tuple[int, ...]]:
+def hstar_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
     """Stream H*: the q^m - 1 nonzero dual words, as value tuples."""
-    for row in dual_rows(spec, max_rows):
+    for row in dual_rows(spec):
         if any(row):
             yield row
 
@@ -266,24 +272,22 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
 
 
 @lru_cache(maxsize=None)
-def _census(spec: EllipticCodeSpec, limit: int) -> DualCensus:
-    q = spec.field.q
-    if q ** spec.m > limit:
-        raise SizeLimitError(f"{q}^{spec.m} dual rows exceed the bound {limit}")
+def _census(spec: EllipticCodeSpec) -> DualCensus:
     return _stream_census(spec.field, generator_matrix(spec).entries, spec.n)
 
 
-def hstar_census(spec: EllipticCodeSpec, max_rows: int | None = None) -> DualCensus:
+def hstar_census(spec: EllipticCodeSpec) -> DualCensus:
     """Support masks and dual weight counts of H*, from one cached pass.
 
-    The cache key carries the resolved row limit, so lowering
+    The row bound is checked before the cache is read, so lowering
     STOPSET_MAX_ROWS later still applies to a spec seen before."""
-    return _census(spec, row_limit(max_rows))
+    _require_rows(spec.field.q, spec.m, "dual rows")
+    return _census(spec)
 
 
-def hstar_support_masks(spec: EllipticCodeSpec, max_rows: int | None = None) -> frozenset[int]:
+def hstar_support_masks(spec: EllipticCodeSpec) -> frozenset[int]:
     """Distinct support bitmasks of H* rows (bit j-1 = column j)."""
-    return hstar_census(spec, max_rows).masks
+    return hstar_census(spec).masks
 
 
 # callers read the pass's cache statistics under the masks' name
@@ -328,7 +332,7 @@ def macwilliams_transform(dual_weights: Sequence[int], q: int, dual_dim: int) ->
     return tuple(A)
 
 
-def weight_enumerator(code: EllipticCodeSpec | CodeMatrix, max_rows: int | None = None) -> tuple[int, ...]:
+def weight_enumerator(code: EllipticCodeSpec | CodeMatrix) -> tuple[int, ...]:
     """Weight counts A_0..A_n of a code, by the MacWilliams transform of
     its dual's weight counts.
 
@@ -339,12 +343,10 @@ def weight_enumerator(code: EllipticCodeSpec | CodeMatrix, max_rows: int | None 
     q^(dual dimension) <= the row bound.
     """
     if isinstance(code, EllipticCodeSpec):
-        return hstar_census(code, max_rows).code_weights
+        return hstar_census(code).code_weights
     spec = code.spec
     basis, _ = _rref(spec, code.entries)
-    limit = row_limit(max_rows)
-    if spec.q ** len(basis) > limit:
-        raise SizeLimitError(f"{spec.q}^{len(basis)} dual words exceed the bound {limit}")
+    _require_rows(spec.q, len(basis), "dual words")
     return _stream_census(spec, basis, code.ncols).code_weights
 
 
@@ -472,7 +474,7 @@ def null_space(M: CodeMatrix) -> CodeMatrix:
     return CodeMatrix(M.spec, tuple(_kernel_basis(M.spec, M.entries, M.ncols)), ROLE_PARITY)
 
 
-def min_distance_bruteforce(M: CodeMatrix, max_words: int | None = None) -> int:
+def min_distance_bruteforce(M: CodeMatrix) -> int:
     """Minimum Hamming weight over the nonzero row space of M, found by
     enumerating one representative per scalar class (weight is invariant
     under scaling).  Guarded by q^rank <= the row bound.
@@ -484,13 +486,11 @@ def min_distance_bruteforce(M: CodeMatrix, max_words: int | None = None) -> int:
     basis, _ = _rref(spec, M.entries)
     if not basis:
         raise ValueError("zero code has no minimum distance")
-    limit = row_limit(max_words)
-    if spec.q ** len(basis) > limit:
-        raise SizeLimitError(f"{spec.q}^{len(basis)} codewords exceed the bound {limit}")
+    _require_rows(spec.q, len(basis), "codewords")
     return min(len(word) - word.count(0) for word in _combination_stream(spec, basis, normalized=True))
 
 
-def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None) -> int:
+def min_distance_dependent_columns(H: CodeMatrix) -> int:
     """Minimum distance of the code whose parity-check matrix is H.
 
     Searches, in ascending size w, for w columns carrying a dependency with
@@ -504,10 +504,9 @@ def min_distance_dependent_columns(H: CodeMatrix, max_subsets: int | None = None
     r = len(rows)
     if r == n:
         raise ValueError("zero code has no minimum distance")
-    limit = max_subsets if max_subsets is not None else DEFAULT_SUBSET_LIMIT
     for w in range(1, r + 2):
-        if math.comb(n, w) > limit:
-            raise SizeLimitError(f"C({n},{w}) column subsets exceed the bound {limit}")
+        if math.comb(n, w) > SUBSET_LIMIT:
+            raise SizeLimitError(f"C({n},{w}) column subsets exceed the bound {SUBSET_LIMIT}")
         for cols in combinations(range(n), w):
             # a kernel vector of the chosen columns with full support
             basis = _kernel_basis(spec, [[row[c] for c in cols] for row in rows], w)
@@ -524,7 +523,7 @@ def residue_min_distance(spec: EllipticCodeSpec) -> int:
     otherwise the minimal dependent column sets of the evaluation matrix
     give it.  `min_distance_bruteforce` on the null space is the oracle.
     """
-    if spec.field.q ** spec.m <= row_limit(None):
+    if rows_fit(spec.field.q, spec.m):
         A = hstar_census(spec).code_weights
         return next(w for w in range(1, spec.n + 1) if A[w])
     return min_distance_dependent_columns(generator_matrix(spec))

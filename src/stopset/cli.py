@@ -295,20 +295,31 @@ def _verify_instance(spec, samples: int, seed: int, corrupt: int | None, report:
 
 def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     """Support masks of H* with one entry of one row altered; the fault
-    injection hook behind the verification smoke test."""
-    f = spec.field
+    injection hook behind the verification smoke test.
+
+    The entry starts at row `corrupt` mod #rows, column `corrupt` mod n,
+    in row-major order; a nonzero entry becomes 0 and a zero entry 1.
+    While that leaves the set of supports as it was, the next entry is
+    tried instead, so every `corrupt` injects a fault."""
     rows = [list(r) for r in agcode.hstar_rows(spec)]
-    row_idx = corrupt % len(rows)
-    col_idx = corrupt % spec.n
-    rows[row_idx][col_idx] = f.add_val(rows[row_idx][col_idx], 1)
-    return agcode.support_masks(rows)
+    clean = agcode.support_masks(rows)
+    n, entries = spec.n, len(rows) * spec.n
+    start = corrupt % len(rows) * n + corrupt % n
+    for k in range(start, start + entries):
+        row, col = divmod(k % entries, n)
+        old = rows[row][col]
+        rows[row][col] = 0 if old else 1
+        masks = agcode.support_masks(rows)
+        if masks != clean:
+            return masks
+        rows[row][col] = old
+    raise ValueError("no single-entry change alters the supports of H*")
 
 
 def _verify_specs(max_q: int, max_m: int):
     """All (curve, m) instances in the sweep: every nonsingular curve over
     each prime field 5 <= p <= max_q, every m in [2, max_m] with m < n and
-    a streamable dual codebook."""
-    limit = min(agcode.row_limit(None), 2 ** 17)
+    a dual codebook of at most 2^17 words within the row bound."""
     for p in filter(is_prime, range(5, max_q + 1, 2)):
         field = parse_field(str(p))
         for av, bv in itertools.product(range(p), repeat=2):
@@ -318,11 +329,13 @@ def _verify_specs(max_q: int, max_m: int):
                 continue
             n = len(rational_points(E)) - 1
             for m in range(2, max_m + 1):
-                if m < n and field.q ** m <= limit:
+                if m < n and field.q ** m <= 2 ** 17 and agcode.rows_fit(field.q, m):
                     yield agcode.spec_all_points(E, m)
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     instances = 0
     mismatches = []
     report: dict = {"schema": 1, "max_q": args.max_q, "max_m": args.max_m}

@@ -69,25 +69,20 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
     return lambda row: ()
 
 
-def _stream(rows) -> Iterable[Sequence[int]]:
-    return rows() if callable(rows) else rows
-
-
 def peel(
-    rows,
+    rows: Iterable[Sequence[int]],
     instance: ErasureInstance,
     max_passes: int | None = None,
 ) -> tuple[list[int | None], frozenset[int]]:
     """Run peeling passes until stable.
 
-    rows holds parity-check rows as value tuples: a list, a one-shot
-    iterable such as `hstar_rows(spec)`, or a zero-argument callable
-    returning one.  It is read once; later passes revisit only the rows
-    that still met two or more erased positions.  Returns (recovered
-    vector, residual erased positions); unrecovered slots hold None.  A row
-    is checked once, on the first visit that finds it fully known (known
-    values never change): a nonzero syndrome raises IntegrityError, the
-    input was not a codeword.
+    rows holds parity-check rows as value tuples: a list or a one-shot
+    iterable such as `hstar_rows(spec)`.  It is read once; later passes
+    revisit only the rows that still met two or more erased positions.
+    Returns (recovered vector, residual erased positions); unrecovered
+    slots hold None.  A row is checked once, on the first visit that finds
+    it fully known (known values never change): a nonzero syndrome raises
+    IntegrityError, the input was not a codeword.
     """
     n = len(instance.codeword)
     if max_passes is None:
@@ -98,7 +93,7 @@ def peel(
     # plain inner product
     values = [0 if j in instance.erased else v for j, v in enumerate(instance.codeword, 1)]
     unknown_at = sorted(j - 1 for j in instance.erased)
-    pending = _stream(rows)
+    pending = rows
     for _ in range(max_passes):
         pick = _picker(unknown_at)
         progressed = False
@@ -125,7 +120,7 @@ def peel(
     return recovered, frozenset(j + 1 for j in unknown_at)
 
 
-def residual_is_stopping(rows, residual: Iterable[int]) -> bool:
+def residual_is_stopping(rows: Iterable[Sequence[int]], residual: Iterable[int]) -> bool:
     """The stall certificate: the residual must be a stopping set of the
     rows the decoder ran over."""
-    return is_stopping_set_masks(support_masks(_stream(rows)), subset_mask(residual))
+    return is_stopping_set_masks(support_masks(rows), subset_mask(residual))

@@ -35,7 +35,7 @@ from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup
 
-DEFAULT_ENUM_MAX_N = 24
+ENUM_MAX_N = 24
 SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
 # bound on the subset-sum DP's work n * m * N, with N by the Hasse bound
 DP_MAX_WORK = 2 ** 23
@@ -139,11 +139,15 @@ def classify(spec: EllipticCodeSpec, A: Iterable[int]) -> StoppingStatus:
     return StoppingStatus(*_rule(spec, _check_indices(spec, A)))
 
 
-def enumerate_S_m(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_N) -> list[tuple[int, ...]]:
-    """All size-m stopping sets, in lexicographic order."""
-    if spec.n > max_n:
-        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {max_n}")
-    return [A for A in combinations(range(1, spec.n + 1), spec.m) if _rule(spec, A) is _SUM_ZERO]
+def enumerate_S_m(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
+    """All size-m stopping sets, in lexicographic order: the m-subsets
+    whose packed sum is one of the zero sums, one `sum` per subset."""
+    if spec.n > ENUM_MAX_N:
+        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {ENUM_MAX_N}")
+    _, _, packed, zeros = _sum_context(spec)
+    subsets = combinations(range(1, spec.n + 1), spec.m)
+    sums = map(sum, combinations(packed[1:], spec.m))
+    return [A for A, total in zip(subsets, sums) if total in zeros]
 
 
 def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -167,20 +171,18 @@ def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> li
     return sorted(seen)
 
 
-def enumerate_S_m1(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_N) -> list[tuple[int, ...]]:
+def enumerate_S_m1(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
     """All size-(m+1) stopping sets: the complement of S+(m) among all
     (m+1)-subsets."""
-    if spec.n > max_n:
-        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {max_n}")
-    blocked = set(build_S_m_plus(spec, enumerate_S_m(spec, max_n)))
+    blocked = set(build_S_m_plus(spec, enumerate_S_m(spec)))
     return [A for A in combinations(range(1, spec.n + 1), spec.m + 1) if A not in blocked]
 
 
-def enumerate_S_m1_direct(spec: EllipticCodeSpec, max_n: int = DEFAULT_ENUM_MAX_N) -> list[tuple[int, ...]]:
+def enumerate_S_m1_direct(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
     """Size-(m+1) stopping sets by filtering every subset through classify;
     the slow cross-check for enumerate_S_m1."""
-    if spec.n > max_n:
-        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {max_n}")
+    if spec.n > ENUM_MAX_N:
+        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {ENUM_MAX_N}")
     return [
         A
         for A in combinations(range(1, spec.n + 1), spec.m + 1)
@@ -373,14 +375,14 @@ class StoppingReport:
 
 def build_report(spec: EllipticCodeSpec, sample_cap: int = 2000, seed: int = 0) -> StoppingReport:
     """Assemble the census: distribution, #S(m), the sets themselves when
-    n <= DEFAULT_ENUM_MAX_N and #S(m) <= SET_LIMIT, and (when the dual
+    n <= ENUM_MAX_N and #S(m) <= SET_LIMIT, and (when the dual
     codebook is streamable) the oracle's disagreements."""
     dist = distribution(spec)
     sets = None
-    if dist[spec.m] <= SET_LIMIT and spec.n <= DEFAULT_ENUM_MAX_N:
+    if dist[spec.m] <= SET_LIMIT and spec.n <= ENUM_MAX_N:
         sets = enumerate_S_m(spec)
     mismatches = None
-    if spec.field.q ** spec.m <= agcode.row_limit(None):
+    if agcode.rows_fit(spec.field.q, spec.m):
         mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), sample_cap, seed)
     return StoppingReport(
         spec=spec,

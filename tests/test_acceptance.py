@@ -48,7 +48,7 @@ from stopset import (
     weight_enumerator,
 )
 from stopset.agcode import (
-    DEFAULT_ROW_LIMIT,
+    ROW_LIMIT,
     is_stopping_set_masks,
     min_distance_dependent_columns,
     stopping_distribution_from_rows,
@@ -57,6 +57,7 @@ from stopset.agcode import (
 )
 from stopset.groupcount import all_groups_of_order, subset_sum_table
 from stopset.ffield import parse_field
+from stopset import stoptheory
 from stopset.stoptheory import (
     build_S_m_plus,
     enumerate_S_m1_direct,
@@ -359,18 +360,19 @@ def test_criterion_10(ref):
     _done(10, "row deletion only grows the distribution", t0, 60.0)
 
 
-def test_criterion_11(f5, f7):
+def test_criterion_11(f5, f7, monkeypatch):
     t0 = time.monotonic()
+    monkeypatch.setattr(stoptheory, "ENUM_MAX_N", 64)
 
     def check(spec, oracle):
         A = weight_enumerator(spec)
-        assert A[spec.m] == (spec.field.q - 1) * len(enumerate_S_m(spec, max_n=64)), spec
+        assert A[spec.m] == (spec.field.q - 1) * len(enumerate_S_m(spec)), spec
         d = next(w for w in range(1, spec.n + 1) if A[w])
         assert d == residue_min_distance(spec) == oracle(spec), spec
 
     def brute(spec):
         # full codeword enumeration where it fits; 13 codes over F_7 exceed 2^22 words
-        if spec.field.q ** (spec.n - spec.m) <= DEFAULT_ROW_LIMIT:
+        if spec.field.q ** (spec.n - spec.m) <= ROW_LIMIT:
             return min_distance_bruteforce(null_space(generator_matrix(spec)))
         return columns(spec)
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from stopset import agcode
 from stopset import (
     INFINITY,
     CodeMatrix,
@@ -31,7 +32,7 @@ from stopset import (
     weight_enumerator,
 )
 from stopset.agcode import (
-    DEFAULT_ROW_LIMIT,
+    ROW_LIMIT,
     hstar_census,
     is_stopping_set_masks,
     macwilliams_transform,
@@ -178,13 +179,15 @@ def test_min_distance_on_rs_code():
     assert min_distance_dependent_columns(null_space(G)) == 5
 
 
-def test_min_distance_guards(f5):
+def test_min_distance_guards(f5, monkeypatch):
     one_row = CodeMatrix(f5, ((1, 1, 1, 1),), "generator")
     assert min_distance_bruteforce(one_row) == 4
+    monkeypatch.setenv("STOPSET_MAX_ROWS", "2")
     with pytest.raises(SizeLimitError):
-        min_distance_bruteforce(one_row, max_words=2)
+        min_distance_bruteforce(one_row)
+    monkeypatch.setattr(agcode, "SUBSET_LIMIT", 1)
     with pytest.raises(SizeLimitError):
-        min_distance_dependent_columns(one_row, max_subsets=1)
+        min_distance_dependent_columns(one_row)
     eye = CodeMatrix(f5, ((1, 0), (0, 1)), "generator")
     with pytest.raises(ValueError):
         min_distance_dependent_columns(eye)  # full rank checks only the zero code
@@ -264,11 +267,9 @@ def test_distribution_validation():
 
 def test_row_limit_settings(monkeypatch):
     monkeypatch.delenv("STOPSET_MAX_ROWS", raising=False)
-    assert row_limit() == DEFAULT_ROW_LIMIT
-    assert row_limit(99) == 99
+    assert row_limit() == ROW_LIMIT
     monkeypatch.setenv("STOPSET_MAX_ROWS", "1000")
     assert row_limit() == 1000
-    assert row_limit(5) == 5
 
 
 def test_row_limit_rejects_bad_values(monkeypatch):
@@ -276,6 +277,28 @@ def test_row_limit_rejects_bad_values(monkeypatch):
         monkeypatch.setenv("STOPSET_MAX_ROWS", value)
         with pytest.raises(ValueError, match="STOPSET_MAX_ROWS"):
             row_limit()
+
+
+ROW_BOUND_CALLS = [
+    # (what streams q^dim words of the reference code, q^dim)
+    pytest.param(lambda spec: list(dual_rows(spec)), 5 ** 3, id="dual_rows"),
+    pytest.param(lambda spec: list(hstar_rows(spec)), 5 ** 3, id="hstar_rows"),
+    pytest.param(hstar_support_masks, 5 ** 3, id="hstar_support_masks"),
+    pytest.param(weight_enumerator, 5 ** 3, id="weight_enumerator-spec"),
+    pytest.param(lambda spec: weight_enumerator(generator_matrix(spec)), 5 ** 3, id="weight_enumerator-matrix"),
+    pytest.param(
+        lambda spec: min_distance_bruteforce(null_space(generator_matrix(spec))), 5 ** 5, id="min_distance_bruteforce"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, words", ROW_BOUND_CALLS)
+def test_row_bound_edge(ref_spec, monkeypatch, call, words):
+    monkeypatch.setenv("STOPSET_MAX_ROWS", str(words))
+    call(ref_spec)  # q^dim words fit a bound of exactly q^dim
+    monkeypatch.setenv("STOPSET_MAX_ROWS", str(words - 1))
+    with pytest.raises(SizeLimitError):
+        call(ref_spec)
 
 
 def test_lowered_row_limit_applies_to_cached_spec(ref_spec, monkeypatch):
@@ -290,9 +313,9 @@ def test_lowered_row_limit_applies_to_cached_spec(ref_spec, monkeypatch):
 
 
 def test_size_guards(ref_spec, monkeypatch):
-    with pytest.raises(SizeLimitError):
-        list(dual_rows(ref_spec, max_rows=10))
     monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+    with pytest.raises(SizeLimitError):
+        list(dual_rows(ref_spec))
     with pytest.raises(SizeLimitError):
         list(hstar_rows(ref_spec))
     monkeypatch.delenv("STOPSET_MAX_ROWS")
@@ -343,7 +366,7 @@ def test_weight_enumerator_reference(ref_spec):
     assert census.masks == hstar_support_masks(ref_spec)
 
 
-def test_tampered_dual_weights_raise(ref_spec):
+def test_tampered_dual_weights_raise(ref_spec, monkeypatch):
     B = list(hstar_census(ref_spec).dual_weights)
     n, q, m = ref_spec.n, 5, 3
     assert macwilliams_transform(B, q, m) == weight_enumerator(ref_spec)
@@ -356,5 +379,6 @@ def test_tampered_dual_weights_raise(ref_spec):
     moved[n] += q ** m
     with pytest.raises(IntegrityError):
         macwilliams_transform(moved, q, m)
+    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
     with pytest.raises(SizeLimitError):
-        weight_enumerator(ref_spec, max_rows=10)
+        weight_enumerator(ref_spec)

@@ -161,6 +161,24 @@ def test_verify_fault_injection(capsys):
     assert "subset" in doc["mismatches"][0]
 
 
+def test_every_corrupt_value_injects_a_fault(capsys):
+    # adding 1 to an entry in 1..q-2 keeps its row's support; the hook must
+    # change the set of supports whatever the entry holds
+    for corrupt in range(41):
+        code = main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", str(corrupt)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1, corrupt
+        assert doc["corrupted"] is True and doc["mismatch_count"] >= 1, corrupt
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_samples_below_one_exit_2(capsys, samples):
+    assert main(["verify", "--max-q", "5", "--max-m", "2", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
 def test_usage_errors(capsys):
     assert main(["points", "--a", "1", "--b", "1"]) == 2  # no field given
     capsys.readouterr()
@@ -236,8 +254,8 @@ def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
 
     real = agcode.weight_enumerator
 
-    def tampered(spec, max_rows=None):
-        A = list(real(spec, max_rows))
+    def tampered(spec):
+        A = list(real(spec))
         A[spec.m] += 1
         return tuple(A)
 
@@ -254,7 +272,7 @@ def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
 def test_verify_broken_enumerator_is_a_mismatch(capsys, monkeypatch):
     from stopset import agcode
 
-    def broken(spec, max_rows=None):
+    def broken(spec):
         raise IntegrityError("A_0 = 2, not 1")
 
     monkeypatch.setattr(agcode, "weight_enumerator", broken)

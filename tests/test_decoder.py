@@ -101,13 +101,6 @@ def test_row_order_never_changes_residual(ref_spec, star_rows, codeword):
         assert peel(shuffled, inst)[1] == baseline
 
 
-def test_rows_callable_form(ref_spec, codeword):
-    inst = make_instance(ref_spec, codeword, {1, 2, 3})
-    recovered, residual = peel(lambda: hstar_rows(ref_spec), inst)
-    assert residual == frozenset()
-    assert tuple(recovered) == codeword
-
-
 def test_minimal_check_matrix_may_need_more_passes(ref_spec, codeword):
     # the three evaluation rows alone still peel, just not in one sweep
     rows = generator_matrix(ref_spec).values()
@@ -166,7 +159,7 @@ def _f25_spec():
 
 
 @pytest.mark.parametrize("which", ["reference", "F25"])
-def test_one_shot_list_and_callable_agree(ref_spec, which):
+def test_one_shot_and_list_agree(ref_spec, which):
     spec = ref_spec if which == "reference" else _f25_spec()
     f = spec.field
     rng = random.Random(4)
@@ -182,7 +175,6 @@ def test_one_shot_list_and_callable_agree(ref_spec, which):
             inst = make_instance(spec, codeword, S)
             recovered, residual = peel(star, inst)
             assert peel(hstar_rows(spec), inst) == (recovered, residual), S
-            assert peel(lambda: hstar_rows(spec), inst) == (recovered, residual), S
             assert residual <= inst.erased
             assert residual_is_stopping(star, residual)
             for j in range(1, spec.n + 1):

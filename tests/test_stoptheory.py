@@ -242,11 +242,12 @@ def test_sample_subsets_behaviour():
     assert capped == again
 
 
-def test_enumeration_size_guard(ref_spec):
+def test_enumeration_size_guard(ref_spec, monkeypatch):
+    monkeypatch.setattr(stoptheory, "ENUM_MAX_N", 4)
     with pytest.raises(SizeLimitError):
-        enumerate_S_m(ref_spec, max_n=4)
+        enumerate_S_m(ref_spec)
     with pytest.raises(SizeLimitError):
-        enumerate_S_m1(ref_spec, max_n=4)
+        enumerate_S_m1(ref_spec)
 
 
 def test_report(ref_spec):
