@@ -26,6 +26,7 @@ from .ffield import FieldSpec
 
 ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
 ROW_LIMIT_ENV = "STOPSET_MAX_ROWS"
+STREAM_LIMIT = 2 ** 27  # q^m * n guard on the entries of the full H* stream
 SUBSET_LIMIT = 10 ** 6
 
 ROLE_GENERATOR = "generator"
@@ -58,6 +59,14 @@ def rows_fit(q: int, dim: int) -> bool:
 def _require_rows(q: int, dim: int, what: str) -> None:
     if not rows_fit(q, dim):
         raise SizeLimitError(f"{q}^{dim} {what} exceed the bound {row_limit()}")
+
+
+def require_stream(q: int, m: int, n: int) -> None:
+    """Refuse a full H* stream, q^m rows of n entries, past STREAM_LIMIT
+    entries.  As q >= 2, an m of the bound's bit length or more is past it
+    whatever n is, and is refused before q^m is formed."""
+    if m >= STREAM_LIMIT.bit_length() or q ** m * n > STREAM_LIMIT:
+        raise SizeLimitError(f"{q}^{m} rows of {n} entries exceed the stream bound {STREAM_LIMIT}")
 
 
 @dataclass(frozen=True)

@@ -57,11 +57,6 @@ def _curve_from_args(args) -> EllipticCurve:
     return EllipticCurve(field, parse_element(field, args.a), parse_element(field, args.b))
 
 
-def _spec_from_args(args) -> agcode.EllipticCodeSpec:
-    E = _curve_from_args(args)
-    return _spec_for_curve(E, args.m, getattr(args, "D", "all-minus-O"))
-
-
 def _spec_for_curve(E: EllipticCurve, m: int, d_text: str) -> agcode.EllipticCodeSpec:
     if d_text == "all-minus-O":
         return agcode.spec_all_points(E, m)
@@ -170,7 +165,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _spec_from_args(args)
+    E = _curve_from_args(args)
+    if args.D == "all-minus-O":
+        group_structure(E)  # checks the census bound before it enumerates points
+    spec = _spec_for_curve(E, args.m, args.D)
     rep = stoptheory.build_report(spec, seed=args.seed)
     if args.format == "csv":
         _emit(_distribution_csv(rep.distribution), args)
@@ -204,8 +202,8 @@ def _cmd_mds(args) -> int:
     return 0
 
 
-def _spec_from_doc(doc) -> agcode.EllipticCodeSpec:
-    """The code of a `decode --spec` document: an object with strings
+def _code_from_doc(doc) -> tuple[EllipticCurve, int, str]:
+    """(curve, m, D text) of a `decode --spec` document: an object with strings
     "field", "a" and "b", an integer "m" (or its digits), and "D" as
     'all-minus-O' (the default), 'x,y;x,y;...' or a list of 'x,y' strings."""
     if not isinstance(doc, dict):
@@ -222,17 +220,24 @@ def _spec_from_doc(doc) -> agcode.EllipticCodeSpec:
         raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
     field = parse_field(doc["field"])
     E = EllipticCurve(field, parse_element(field, doc["a"]), parse_element(field, doc["b"]))
-    return _spec_for_curve(E, int(doc["m"]), d_field)
+    return E, int(doc["m"]), d_field
 
 
 def _cmd_decode(args) -> int:
     if args.spec:
         with open(args.spec) as fh:
-            spec = _spec_from_doc(json.load(fh))
+            E, m, d_text = _code_from_doc(json.load(fh))
     else:
         if args.m is None:
             raise ValueError("need --m (or --spec)")
-        spec = _spec_from_args(args)
+        E, m, d_text = _curve_from_args(args), args.m, args.D
+    # the H* stream is bounded before all-minus-O enumerates its points, a
+    # given D after it is parsed
+    q = E.field.q
+    if d_text == "all-minus-O":
+        agcode.require_stream(q, m, hasse_bound(q))
+    spec = _spec_for_curve(E, m, d_text)
+    agcode.require_stream(q, m, spec.n)
     f = spec.field
     if args.codeword == "zero":
         word = [0] * spec.n

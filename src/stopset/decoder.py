@@ -69,12 +69,8 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
     return lambda row: ()
 
 
-def peel(
-    rows: Iterable[Sequence[int]],
-    instance: ErasureInstance,
-    max_passes: int | None = None,
-) -> tuple[list[int | None], frozenset[int]]:
-    """Run peeling passes until stable.
+def peel(rows: Iterable[Sequence[int]], instance: ErasureInstance) -> tuple[list[int | None], frozenset[int]]:
+    """Run peeling passes until one recovers nothing.
 
     rows holds parity-check rows as value tuples: a list or a one-shot
     iterable such as `hstar_rows(spec)`.  It is read once; later passes
@@ -84,9 +80,6 @@ def peel(
     it fully known (known values never change): a nonzero syndrome raises
     IntegrityError, the input was not a codeword.
     """
-    n = len(instance.codeword)
-    if max_passes is None:
-        max_passes = n
     f = instance.field
     dot = _dot(f)
     # erased slots hold 0, so a row's syndrome on its known positions is a
@@ -94,7 +87,8 @@ def peel(
     values = [0 if j in instance.erased else v for j, v in enumerate(instance.codeword, 1)]
     unknown_at = sorted(j - 1 for j in instance.erased)
     pending = rows
-    for _ in range(max_passes):
+    progressed = True
+    while progressed:
         pick = _picker(unknown_at)
         progressed = False
         kept = []
@@ -114,8 +108,6 @@ def peel(
             pick = _picker(unknown_at)
             progressed = True
         pending = kept
-        if not progressed:
-            break
     recovered: list[int | None] = [None if j in unknown_at else v for j, v in enumerate(values)]
     return recovered, frozenset(j + 1 for j in unknown_at)
 

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import FieldMismatchError, SizeLimitError
 
 MAX_FIELD_SIZE = 2 ** 20  # guard on q = p^k
-_SQRT_TABLE_BOUND = 2 ** 16  # below this, square roots come from a full table
 _OP_TABLE_BOUND = 2 ** 10  # below this, extension fields cache q*q op tables
 
 
@@ -255,9 +254,7 @@ class FieldSpec:
 
     def sqrt_vals(self, a: int) -> tuple[int, ...]:
         """All square roots of the value a, sorted, possibly empty."""
-        if self.q <= _SQRT_TABLE_BOUND:
-            return _sqrt_table(self)[a]
-        return _sqrt_algebraic(self, a)
+        return _sqrt_table(self)[a]
 
     # -- formatting -----------------------------------------------------------
 
@@ -321,49 +318,11 @@ def _powers_of_primitive(spec: FieldSpec) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _sqrt_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    # exhaustive: square every element once and bucket the roots
-    roots: list[list[int]] = [[] for _ in range(spec.q)]
+    # one squaring per element; r runs upward, so each slot fills ascending
+    roots: list[tuple[int, ...]] = [()] * spec.q
     for r in range(spec.q):
-        roots[spec.mul_val(r, r)].append(r)
-    return tuple(tuple(sorted(rs)) for rs in roots)
-
-
-def _sqrt_algebraic(spec: FieldSpec, a: int) -> tuple[int, ...]:
-    """Square roots in fields too large for the table: Frobenius inverse in
-    characteristic 2, Tonelli-Shanks otherwise."""
-    q = spec.q
-    if a == 0:
-        return (0,)
-    if spec.p == 2:
-        # squaring is the Frobenius automorphism, so it is a bijection
-        return (spec.pow_val(a, q // 2),)
-    if spec.pow_val(a, (q - 1) // 2) != 1:
-        return ()
-    if q % 4 == 3:
-        r = spec.pow_val(a, (q + 1) // 4)
-    else:
-        # Tonelli-Shanks in the cyclic group of order q - 1
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s, t = s + 1, t // 2
-        z = 2 % q
-        while z == 0 or spec.pow_val(z, (q - 1) // 2) == 1:
-            z += 1
-        c = spec.pow_val(z, t)
-        r = spec.pow_val(a, (t + 1) // 2)
-        w = spec.pow_val(a, t)
-        m = s
-        while w != 1:
-            i, ww = 0, w
-            while ww != 1:
-                ww = spec.mul_val(ww, ww)
-                i += 1
-            b = spec.pow_val(c, 1 << (m - i - 1))
-            r = spec.mul_val(r, b)
-            c = spec.mul_val(b, b)
-            w = spec.mul_val(w, c)
-            m = i
-    return tuple(sorted({r, spec.neg_val(r)}))
+        roots[spec.mul_val(r, r)] += (r,)
+    return tuple(roots)
 
 
 @dataclass(frozen=True)

@@ -405,6 +405,11 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "40"],  # the subset-sum DP
         ["points", "--p", "1000003", "--a", "1", "--b", "3"],  # the point listing
         ["gen", "--p", "1000003", "--a", "1", "--b", "3", "--m", "3"],  # the matrix entries
+        ["report", "--field", "31,4", "--a", "1", "--b", "3", "--m", "3"],  # the census, before the points
+        ["report", "--p", "1000003", "--a", "1", "--b", "3", "--m", "3"],
+        ["decode", "--p", "1009", "--a", "1", "--b", "3", "--m", "2", "--erased", "1,2"],  # the H* stream
+        ["decode", "--field", "31,4", "--a", "1", "--b", "3", "--m", "2", "--erased", "1"],
+        ["decode", "--p", "5", "--a", "1", "--b", "1", "--m", "1000000000", "--erased", "1"],  # no 5^m formed
     ],
 )
 def test_size_bounds_exit_3(argv):
@@ -463,6 +468,55 @@ def test_points_and_gen_bounds_are_checked_first(capsys, monkeypatch, argv, insi
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "size bound exceeded" in captured.err
+
+
+@pytest.mark.parametrize("source", ["flags", "spec-file"])
+@pytest.mark.parametrize(
+    "p, m, inside",
+    [
+        ("101", 3, True),  # 101^3 * Hasse bound 122 < 2^27
+        ("1009", 2, False),  # 1009^2 * Hasse bound 1073 > 2^27
+    ],
+)
+def test_decode_stream_bound_is_checked_first(capsys, monkeypatch, tmp_path, source, p, m, inside):
+    from stopset import agcode, cli
+
+    def enumerated(*args):
+        raise _Enumerated
+
+    monkeypatch.setattr(cli, "rational_points", enumerated)
+    monkeypatch.setattr(agcode, "rational_points", enumerated)
+    if source == "flags":
+        argv = ["decode", "--p", p, "--a", "1", "--b", "3", "--m", str(m), "--erased", "1,2"]
+    else:
+        spec_file = tmp_path / "code.json"
+        spec_file.write_text(json.dumps({"field": p, "a": "1", "b": "3", "m": m}))
+        argv = ["decode", "--spec", str(spec_file), "--erased", "1,2"]
+    if inside:
+        with pytest.raises(_Enumerated):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stream bound" in captured.err
+
+
+DECODE_D = "1,45;1,56;2,35;2,66"  # on y^2 = x^3 + x + 3 over F_101
+
+
+@pytest.mark.parametrize("bound, code", [(101 ** 2 * 4, 0), (101 ** 2 * 4 - 1, 3)])
+def test_decode_bounds_a_given_D_by_its_size(capsys, monkeypatch, bound, code):
+    # the Hasse bound, 122 points, would refuse both
+    from stopset import agcode
+
+    monkeypatch.setattr(agcode, "STREAM_LIMIT", bound)
+    argv = ["decode", "--p", "101", "--a", "1", "--b", "3", "--m", "2", "--D", DECODE_D, "--erased", "1"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "101^2 rows of 4 entries" in captured.err
+    else:
+        assert json.loads(captured.out)["fully_recovered"] is True
 
 
 GEN_D = "2,231543;3,828842;4,737829;6,15"  # on y^2 = x^3 + x + 3 over F_1000003

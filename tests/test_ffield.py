@@ -116,7 +116,7 @@ def test_multiplicative_order_divides_group_order(p, k):
             assert (a ** (q - 1)) == spec.one()
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (11, 2), (65537, 1)])
 def test_sqrt_exhaustive(p, k):
     spec = FieldSpec(p, k)
     elems = spec.elements()
@@ -133,10 +133,10 @@ def test_sqrt_trivia(f5):
     assert {r.value for r in sqrt(f5.element(0))} == {0}
 
 
-def test_sqrt_large_field_algebraic_path():
-    # big enough to skip the table: every root must square back, and the
-    # residue census must match Euler's criterion
-    spec = FieldSpec(65537)  # 65537 = 2^16 + 1 > table bound, q = 1 mod 4
+def test_sqrt_large_field_matches_euler():
+    # on sampled elements of a large field, every root must square back
+    # and the residue census must match Euler's criterion
+    spec = FieldSpec(65537)  # 65537 = 2^16 + 1, q = 1 mod 4
     rng = random.Random(3)
     found = 0
     for _ in range(50):
