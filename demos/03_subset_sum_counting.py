@@ -15,7 +15,7 @@ for k in range(1, 5):
     row = []
     for b in G.elements():
         c = count_formula(G, k, b)
-        assert c == dp_count(nz, k, b)
+        assert c == dp_count(G, nz, k, b)
         row.append(c)
     print(f"  k={k}: counts per target {row}  (total {sum(row)})")
 

@@ -35,10 +35,9 @@ from .curve import (
 )
 from .decoder import ErasureInstance, make_instance, peel, residual_is_stopping
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import FieldElement, FieldSpec, parse_field, sqrt
+from .ffield import FieldSpec, parse_field
 from .groupcount import (
     AbelianGroup,
-    GroupElement,
     closed_form_p_power,
     closed_form_two_power_terms,
     closed_form_two_primes,

@@ -69,6 +69,13 @@ def require_stream(q: int, m: int, n: int) -> None:
         raise SizeLimitError(f"{q}^{m} rows of {n} entries exceed the stream bound {STREAM_LIMIT}")
 
 
+def require_subsets(n: int, size: int) -> None:
+    """Refuse a walk over the C(n, size) subsets of n positions past
+    SUBSET_LIMIT."""
+    if math.comb(n, size) > SUBSET_LIMIT:
+        raise SizeLimitError(f"C({n},{size}) subsets exceed the bound {SUBSET_LIMIT}")
+
+
 @dataclass(frozen=True)
 class EllipticCodeSpec:
     """An ordered evaluation set D of affine points plus the pole bound m."""
@@ -514,8 +521,7 @@ def min_distance_dependent_columns(H: CodeMatrix) -> int:
     if r == n:
         raise ValueError("zero code has no minimum distance")
     for w in range(1, r + 2):
-        if math.comb(n, w) > SUBSET_LIMIT:
-            raise SizeLimitError(f"C({n},{w}) column subsets exceed the bound {SUBSET_LIMIT}")
+        require_subsets(n, w)
         for cols in combinations(range(n), w):
             # a kernel vector of the chosen columns with full support
             basis = _kernel_basis(spec, [[row[c] for c in cols] for row in rows], w)

@@ -25,6 +25,7 @@ POINTS_MAX_ORDER = 2 ** 17  # `points` lists at most this many points (Hasse bou
 GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most this many matrix entries, m * |D|
 GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
+VERIFY_MAX_CURVES = 2 ** 10  # `verify` tries p^2 pairs (a, b) per prime; primes up to 19 make 1014
 
 
 class VerificationFailure(Exception):
@@ -65,7 +66,8 @@ def _spec_for_curve(E: EllipticCurve, m: int, d_text: str) -> agcode.EllipticCod
 
 
 def _curve_header(E: EllipticCurve) -> dict:
-    return {"field": field_str(E.field), "a": str(E.a), "b": str(E.b)}
+    text = E.field.format_element
+    return {"field": field_str(E.field), "a": text(E.a), "b": text(E.b)}
 
 
 def _add_curve_args(sub, with_m: bool, required: bool = True) -> None:
@@ -132,7 +134,7 @@ def _cmd_groupcount(args) -> int:
         "schema": 1,
         "group": list(G.invariant_factors),
         "k": args.k,
-        "target": list(b.coords),
+        "target": list(b),
         "count": count,
     }
     _emit(payload, args)
@@ -242,7 +244,7 @@ def _cmd_decode(args) -> int:
     if args.codeword == "zero":
         word = [0] * spec.n
     else:
-        word = [parse_element(f, t).value for t in args.codeword.split(",")]
+        word = [parse_element(f, t) for t in args.codeword.split(",")]
     erased = [int(i) for i in args.erased.split(",") if i.strip()]
     instance = decoder.make_instance(spec, word, erased)
     recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
@@ -321,20 +323,32 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     raise ValueError("no single-entry change alters the supports of H*")
 
 
-def _verify_specs(max_q: int, max_m: int):
-    """All (curve, m) instances in the sweep: every nonsingular curve over
-    each prime field 5 <= p <= max_q, every m in [2, max_m] with m < n and
-    a dual codebook of at most 2^17 words within the row bound."""
+def _verify_primes(max_q: int) -> list[int]:
+    """The primes 5 <= p <= max_q of the sweep, refused as soon as their
+    p^2 coefficient pairs (a, b) pass VERIFY_MAX_CURVES."""
+    primes, pairs = [], 0
     for p in filter(is_prime, range(5, max_q + 1, 2)):
+        pairs += p * p
+        if pairs > VERIFY_MAX_CURVES:
+            raise SizeLimitError(f"primes up to {p} give {pairs} curves (a, b), past the sweep bound {VERIFY_MAX_CURVES}")
+        primes.append(p)
+    return primes
+
+
+def _verify_specs(primes: list[int], max_m: int):
+    """All (curve, m) instances in the sweep: every nonsingular curve over
+    each prime field F_p, every m in [2, max_m] with m < n and a dual
+    codebook of at most 2^17 words within the row bound."""
+    for p in primes:
         field = parse_field(str(p))
         for av, bv in itertools.product(range(p), repeat=2):
             try:
-                E = EllipticCurve(field, field.from_value(av), field.from_value(bv))
+                E = EllipticCurve(field, av, bv)
             except ValueError:
                 continue
             n = len(rational_points(E)) - 1
-            for m in range(2, max_m + 1):
-                if m < n and field.q ** m <= 2 ** 17 and agcode.rows_fit(field.q, m):
+            for m in range(2, min(max_m, n - 1) + 1):
+                if field.q ** m <= 2 ** 17 and agcode.rows_fit(field.q, m):
                     yield agcode.spec_all_points(E, m)
 
 
@@ -344,7 +358,7 @@ def _cmd_verify(args) -> int:
     instances = 0
     mismatches = []
     report: dict = {"schema": 1, "max_q": args.max_q, "max_m": args.max_m}
-    for spec in _verify_specs(args.max_q, args.max_m):
+    for spec in _verify_specs(_verify_primes(args.max_q), args.max_m):
         found = _verify_instance(spec, args.samples, args.seed, args.corrupt, report)
         instances += 1
         for rec in found:

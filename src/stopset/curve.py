@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import FieldElement, FieldSpec, parse_element
+from .ffield import FieldSpec, parse_element
 from .groupcount import factorize
 
 # bound on the order census of group_structure, O(N log^2 N) curve
@@ -44,17 +44,22 @@ INFINITY = Point()
 
 @dataclass(frozen=True)
 class EllipticCurve:
+    """y^2 = x^3 + ax + b with a and b canonical values of the field."""
+
     field: FieldSpec
-    a: FieldElement
-    b: FieldElement
+    a: int
+    b: int
 
     def __post_init__(self) -> None:
-        if self.field.p < 5:
+        f = self.field
+        if f.p < 5:
             raise ValueError("short Weierstrass form needs characteristic >= 5")
-        if self.a.spec != self.field or self.b.spec != self.field:
-            raise FieldMismatchError("coefficients must live in the curve's field")
-        disc = self.field.element(4) * self.a ** 3 + self.field.element(27) * self.b ** 2
-        if disc.is_zero():
+        if not (0 <= self.a < f.q and 0 <= self.b < f.q):
+            raise FieldMismatchError(f"coefficients must be values of {f!r}, in [0, {f.q})")
+        add, mul, a, b = f.add_val, f.mul_val, self.a, self.b
+        # the integer n is the value n mod p; 4 < p
+        disc = add(mul(4, mul(a, mul(a, a))), mul(27 % f.p, mul(b, b)))
+        if disc == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
 
     def is_on_curve(self, P: Point) -> bool:
@@ -66,18 +71,20 @@ class EllipticCurve:
         return f.mul_val(P.y, P.y) == _rhs(self, P.x)
 
     def __repr__(self) -> str:
-        return f"E[y^2=x^3+{self.a}x+{self.b} over {self.field!r}]"
+        text = self.field.format_element
+        return f"E[y^2=x^3+{text(self.a)}x+{text(self.b)} over {self.field!r}]"
 
 
 def curve(field: FieldSpec, a, b) -> EllipticCurve:
-    """Convenience constructor coercing a and b into the field."""
+    """Convenience constructor coercing a and b into the field: an int
+    embeds as n times one, a sequence is a coefficient list."""
     return EllipticCurve(field, field.element(a), field.element(b))
 
 
 def _rhs(E: EllipticCurve, x: int) -> int:
     """x^3 + ax + b on values."""
     f = E.field
-    return f.add_val(f.mul_val(x, f.add_val(f.mul_val(x, x), E.a.value)), E.b.value)
+    return f.add_val(f.mul_val(x, f.add_val(f.mul_val(x, x), E.a)), E.b)
 
 
 def hasse_bound(q: int) -> int:
@@ -103,7 +110,7 @@ def _add_unchecked(E: EllipticCurve, P: Point, Q: Point) -> Point:
         if y1 != y2 or y1 == 0:
             return INFINITY
         # tangent line; P == Q and y != 0 here
-        num = f.add_val(mul(3, mul(x1, x1)), E.a.value)  # 3 < p
+        num = f.add_val(mul(3, mul(x1, x1)), E.a)  # 3 < p
         lam = mul(num, f.inv_val(mul(2, y1)))
     else:
         lam = mul(sub(y2, y1), f.inv_val(sub(x2, x1)))
@@ -288,7 +295,7 @@ def parse_point(E: EllipticCurve, text: str) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"cannot parse point {text!r}")
-    P = Point(parse_element(E.field, parts[0]).value, parse_element(E.field, parts[1]).value)
+    P = Point(parse_element(E.field, parts[0]), parse_element(E.field, parts[1]))
     _check_point(E, P)
     return P
 

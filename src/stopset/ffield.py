@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import FieldMismatchError, SizeLimitError
+from .errors import SizeLimitError
 
 MAX_FIELD_SIZE = 2 ** 20  # guard on q = p^k
 _OP_TABLE_BOUND = 2 ** 10  # below this, extension fields cache q*q op tables
@@ -106,12 +106,15 @@ class FieldSpec:
     modulus: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
+        # p^k is not formed for a huge k: for p >= 2 it passes the bound once
+        # k reaches the bound's bit length.  Trial division runs last, on a p
+        # the bound has already capped.
         if self.k < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.p ** self.k > MAX_FIELD_SIZE:
+        if self.p >= 2 and self.p ** min(self.k, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
             raise SizeLimitError(f"field size {self.p}^{self.k} exceeds {MAX_FIELD_SIZE}")
+        if not is_prime(self.p):
+            raise ValueError(f"characteristic {self.p} is not prime")
         if self.k == 1:
             if self.modulus:
                 raise ValueError("prime fields take no modulus")
@@ -134,38 +137,24 @@ class FieldSpec:
 
     # -- element construction ------------------------------------------------
 
-    def from_value(self, value: int) -> "FieldElement":
+    def from_value(self, value: int) -> int:
+        """The canonical value itself, after its range check."""
         if not 0 <= value < self.q:
             raise ValueError(f"value {value} outside [0, {self.q})")
-        return FieldElement(self, value)
+        return value
 
-    def element(self, x: "int | Sequence[int] | FieldElement") -> "FieldElement":
-        """Coerce x into this field.
+    def element(self, x: "int | Sequence[int]") -> int:
+        """The canonical value of x.
 
         Integers embed through the prime subfield (n times one); sequences
         are coefficient lists, constant-term first.
         """
-        if isinstance(x, FieldElement):
-            if x.spec != self:
-                raise FieldMismatchError("element belongs to a different field")
-            return x
         if isinstance(x, int):
-            return FieldElement(self, x % self.p)
+            return x % self.p
         coeffs = list(x)
         if len(coeffs) > self.k:
             raise ValueError(f"at most {self.k} coefficients expected")
-        coeffs += [0] * (self.k - len(coeffs))
-        return FieldElement(self, self.value_of(coeffs))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1 % self.q)
-
-    def elements(self) -> "list[FieldElement]":
-        """All q elements, zero first, in canonical value order."""
-        return [FieldElement(self, v) for v in range(self.q)]
+        return self.value_of(coeffs)
 
     # -- value <-> coefficient conversions ------------------------------------
 
@@ -183,9 +172,8 @@ class FieldSpec:
         return v
 
     # -- arithmetic on canonical values ---------------------------------------
-    # These are the workhorses; FieldElement operators delegate here.  Prime
-    # fields use plain modular arithmetic, small extensions use cached q*q
-    # tables, large extensions fall back to per-op polynomial arithmetic.
+    # Prime fields use plain modular arithmetic, small extensions use cached
+    # q*q tables, large extensions fall back to per-op polynomial arithmetic.
 
     def add_val(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -325,62 +313,6 @@ def _sqrt_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(roots)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, held by canonical integer value."""
-
-    spec: FieldSpec
-    value: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs_of(self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def _same_field(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatchError(f"mixed fields {self.spec} and {other.spec}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.spec, self.spec.add_val(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.spec, self.spec.sub_val(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.neg_val(self.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.spec, self.spec.mul_val(self.value, other.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_val(self.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow_val(self.value, e))
-
-    def __str__(self) -> str:
-        return self.spec.format_element(self.value)
-
-    def __repr__(self) -> str:
-        return f"<{self} in {self.spec!r}>"
-
-
-def sqrt(a: FieldElement) -> set[FieldElement]:
-    """The set of square roots of a: empty, one, or two elements."""
-    return {FieldElement(a.spec, r) for r in a.spec.sqrt_vals(a.value)}
-
-
 # ---------------------------------------------------------------------------
 # text forms used by the command line and by serialized configs
 
@@ -404,9 +336,10 @@ def field_str(spec: FieldSpec) -> str:
     return f"{spec.p},{spec.k}," + ".".join(str(c) for c in spec.modulus)
 
 
-def parse_element(spec: FieldSpec, text: str) -> FieldElement:
-    """Parse an element: a bare integer (prime-subfield embedding) or a
-    dot-separated coefficient list, constant term first."""
+def parse_element(spec: FieldSpec, text: str) -> int:
+    """Parse an element to its canonical value: a bare integer
+    (prime-subfield embedding) or a dot-separated coefficient list,
+    constant term first."""
     text = text.strip()
     if "." in text:
         return spec.element([int(c) for c in text.split(".")])

@@ -111,70 +111,27 @@ class AbelianGroup:
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.invariant_factors))
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * len(self.invariant_factors)
 
-    def element(self, coords: Iterable[int]) -> "GroupElement":
+    def element(self, coords: Iterable[int]) -> tuple[int, ...]:
+        """coords reduced mod the invariant factors, one per factor."""
         coords = tuple(coords)
         if len(coords) != len(self.invariant_factors):
             raise ValueError(f"expected {len(self.invariant_factors)} coordinates")
-        return GroupElement(
-            self, tuple(c % d for c, d in zip(coords, self.invariant_factors))
-        )
+        return tuple(c % d for c, d in zip(coords, self.invariant_factors))
 
-    def elements(self) -> "list[GroupElement]":
+    def elements(self) -> list[tuple[int, ...]]:
         """All elements, identity first, in lexicographic coordinate order."""
-        ranges = [range(d) for d in self.invariant_factors]
-        return [GroupElement(self, coords) for coords in itertools.product(*ranges)]
+        return list(itertools.product(*(range(d) for d in self.invariant_factors)))
 
-    def nonzero_elements(self) -> "list[GroupElement]":
-        return [g for g in self.elements() if not g.is_identity()]
+    def nonzero_elements(self) -> list[tuple[int, ...]]:
+        return self.elements()[1:]
 
     def __repr__(self) -> str:
         if not self.invariant_factors:
             return "Z/1"
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def _same_group(self, other: "GroupElement") -> None:
-        if other.group != self.group:
-            raise ValueError("elements of different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._same_group(other)
-        return GroupElement(
-            self.group,
-            tuple(
-                (a + b) % d
-                for a, b, d in zip(self.coords, other.coords, self.group.invariant_factors)
-            ),
-        )
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(
-            self.group,
-            tuple((-a) % d for a, d in zip(self.coords, self.group.invariant_factors)),
-        )
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "GroupElement":
-        return GroupElement(
-            self.group,
-            tuple((n * a) % d for a, d in zip(self.coords, self.group.invariant_factors)),
-        )
-
-    def __repr__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 def torsion_count(G: AbelianGroup, d: int) -> int:
@@ -184,22 +141,22 @@ def torsion_count(G: AbelianGroup, d: int) -> int:
     return math.prod(math.gcd(d, di) for di in G.invariant_factors)
 
 
-def e_of_b(G: AbelianGroup, b: GroupElement) -> int:
-    """The largest divisor d of exp(G) with b in dG.
+def e_of_b(G: AbelianGroup, b: Sequence[int]) -> int:
+    """The largest divisor d of exp(G) with b in dG, for b given by its
+    coordinates.
 
     b is in dG iff each coordinate b_i is divisible by gcd(d, d_i), because
     d*x = b_i (mod d_i) is solvable exactly under that condition.
     """
-    if b.group != G:
-        raise ValueError("element of a different group")
+    b = G.element(b)
     best = 1
     for d in divisors(G.exponent):
-        if all(bi % math.gcd(d, di) == 0 for bi, di in zip(b.coords, G.invariant_factors)):
+        if all(bi % math.gcd(d, di) == 0 for bi, di in zip(b, G.invariant_factors)):
             best = d
     return best
 
 
-def count_formula(G: AbelianGroup, k: int, b: GroupElement) -> int:
+def count_formula(G: AbelianGroup, k: int, b: Sequence[int]) -> int:
     """Number of k-subsets of G \\ {0} summing to b, by Moebius inversion.
 
     The divisor sum runs over s | exp(G); the inner sum over divisors d of
@@ -211,8 +168,6 @@ def count_formula(G: AbelianGroup, k: int, b: GroupElement) -> int:
     N = G.order
     if not 0 <= k <= N - 1:
         raise ValueError(f"subset size {k} outside [0, {N - 1}]")
-    if b.group != G:
-        raise ValueError("target in a different group")
     eb = e_of_b(G, b)
     factors = factorize(G.exponent)
     total = 0
@@ -239,21 +194,19 @@ def count_S_m(G: AbelianGroup, m: int) -> int:
 
 
 def subset_sum_table(
-    elements: Sequence[GroupElement], top: int | None = None
+    G: AbelianGroup, elements: Sequence[tuple[int, ...]], top: int | None = None
 ) -> list[dict[tuple[int, ...], int]]:
     """table[k][coords] = number of k-subsets of `elements` summing there,
     for k = 0..top (default: every size up to len(elements)).
 
     One dynamic-programming pass over (index, size, sum) that never fills a
-    layer above `top`; the elements must be distinct members of one group.
-    The reference for the flat-list DP of stoptheory.count_S_m_of_spec.
+    layer above `top`; the elements must be distinct reduced coordinate
+    tuples of G.  The reference for the flat-list DP of
+    stoptheory.count_S_m_of_spec.
     """
-    if not elements:
-        raise ValueError("need at least one element")
-    G = elements[0].group
     for g in elements:
-        if g.group != G:
-            raise ValueError("elements of different groups")
+        if G.element(g) != tuple(g):
+            raise ValueError(f"{g} is not a reduced element of {G!r}")
     if len(set(elements)) != len(elements):
         raise ValueError("elements must be distinct")
     if top is None:
@@ -261,26 +214,24 @@ def subset_sum_table(
     if not 0 <= top <= len(elements):
         raise ValueError(f"top layer {top} outside [0, {len(elements)}]")
     table: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(top + 1)]
-    table[0][G.identity().coords] = 1
+    table[0][G.identity()] = 1
     for idx, g in enumerate(elements):
         for k in range(min(idx + 1, top), 0, -1):
             if not table[k - 1]:
                 continue
             bucket = table[k]
             for coords, cnt in table[k - 1].items():
-                s = tuple(
-                    (a + c) % d for a, c, d in zip(coords, g.coords, G.invariant_factors)
-                )
+                s = tuple((a + c) % d for a, c, d in zip(coords, g, G.invariant_factors))
                 bucket[s] += cnt
     return table
 
 
-def dp_count(elements: Sequence[GroupElement], k: int, b: GroupElement) -> int:
+def dp_count(G: AbelianGroup, elements: Sequence[tuple[int, ...]], k: int, b: Sequence[int]) -> int:
     """Definitional count of k-subsets of `elements` summing to b; a
     reference, like subset_sum_table."""
     if not 0 <= k <= len(elements):
         raise ValueError(f"subset size {k} outside [0, {len(elements)}]")
-    return subset_sum_table(elements, k)[k].get(b.coords, 0)
+    return subset_sum_table(G, elements, k)[k].get(G.element(b), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup
 
-ENUM_MAX_N = 24
+ENUM_MAX_N = 24  # report lists S(m) only for n up to this
 SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
 # bound on the subset-sum DP's work n * m * N, with N by the Hasse bound
 DP_MAX_WORK = 2 ** 23
@@ -141,9 +141,9 @@ def classify(spec: EllipticCodeSpec, A: Iterable[int]) -> StoppingStatus:
 
 def enumerate_S_m(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
     """All size-m stopping sets, in lexicographic order: the m-subsets
-    whose packed sum is one of the zero sums, one `sum` per subset."""
-    if spec.n > ENUM_MAX_N:
-        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {ENUM_MAX_N}")
+    whose packed sum is one of the zero sums, one `sum` per subset.
+    Refuses more than SUBSET_LIMIT subsets."""
+    agcode.require_subsets(spec.n, spec.m)
     _, _, packed, zeros = _sum_context(spec)
     subsets = combinations(range(1, spec.n + 1), spec.m)
     sums = map(sum, combinations(packed[1:], spec.m))
@@ -173,7 +173,8 @@ def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> li
 
 def enumerate_S_m1(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
     """All size-(m+1) stopping sets: the complement of S+(m) among all
-    (m+1)-subsets."""
+    (m+1)-subsets.  Refuses more than SUBSET_LIMIT of them."""
+    agcode.require_subsets(spec.n, spec.m + 1)
     blocked = set(build_S_m_plus(spec, enumerate_S_m(spec)))
     return [A for A in combinations(range(1, spec.n + 1), spec.m + 1) if A not in blocked]
 
@@ -181,8 +182,7 @@ def enumerate_S_m1(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
 def enumerate_S_m1_direct(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
     """Size-(m+1) stopping sets by filtering every subset through classify;
     the slow cross-check for enumerate_S_m1."""
-    if spec.n > ENUM_MAX_N:
-        raise SizeLimitError(f"n = {spec.n} exceeds the enumeration bound {ENUM_MAX_N}")
+    agcode.require_subsets(spec.n, spec.m + 1)
     return [
         A
         for A in combinations(range(1, spec.n + 1), spec.m + 1)

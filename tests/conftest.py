@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stopset import EllipticCodeSpec, FieldSpec, Point, curve, scalar_mul
+from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, curve, scalar_mul
 
 
 @pytest.fixture(scope="session")
@@ -37,9 +37,7 @@ def nonsingular_curves(field):
     for av in range(field.q):
         for bv in range(field.q):
             try:
-                out.append(
-                    curve(field, field.from_value(av), field.from_value(bv))
-                )
+                out.append(EllipticCurve(field, av, bv))
             except ValueError:
                 continue
     return out

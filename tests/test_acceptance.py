@@ -57,7 +57,6 @@ from stopset.agcode import (
 )
 from stopset.groupcount import all_groups_of_order, subset_sum_table
 from stopset.ffield import parse_field
-from stopset import stoptheory
 from stopset.stoptheory import (
     build_S_m_plus,
     enumerate_S_m1_direct,
@@ -131,7 +130,7 @@ def exhaustive_counts(G):
                         bucket[add(sa, sb)] += ca * cb
         return out
 
-    nz = [g.coords for g in G.nonzero_elements()]
+    nz = G.nonzero_elements()
     if len(nz) <= 16:
         return walk(nz)
     half = len(nz) // 2
@@ -202,17 +201,17 @@ def test_criterion_02():
             for k in range(N):
                 layer = table[k] if k < len(table) else {}
                 for b in targets:
-                    assert count_formula(G, k, b) == layer.get(b.coords, 0)
+                    assert count_formula(G, k, b) == layer.get(b, 0)
                     checked += 1
             nz = G.nonzero_elements()
             if nz:
-                dp_table = subset_sum_table(nz)
+                dp_table = subset_sum_table(G, nz)
                 for k in range(len(nz) + 1):
                     assert dict(dp_table[k]) == dict(table[k])
                 for _ in range(3):
                     k = rng.randrange(0, len(nz) + 1)
                     b = targets[rng.randrange(len(targets))]
-                    assert dp_count(nz, k, b) == table[k].get(b.coords, 0)
+                    assert dp_count(G, nz, k, b) == table[k].get(b, 0)
             groups += 1
     assert groups == 55  # sum of partition-shape counts over N <= 32
     _done(2, f"counting formula vs dp vs enumeration ({groups} groups, {checked} values)", t0, 60.0)
@@ -360,9 +359,8 @@ def test_criterion_10(ref):
     _done(10, "row deletion only grows the distribution", t0, 60.0)
 
 
-def test_criterion_11(f5, f7, monkeypatch):
+def test_criterion_11(f5, f7):
     t0 = time.monotonic()
-    monkeypatch.setattr(stoptheory, "ENUM_MAX_N", 64)
 
     def check(spec, oracle):
         A = weight_enumerator(spec)

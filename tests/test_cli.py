@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from stopset.cli import main
+from stopset import FieldSpec, curve, spec_all_points
+from stopset.cli import _verify_instance, main
 from stopset.errors import IntegrityError
 
 REF = ["--p", "5", "--a", "1", "--b", "1"]
@@ -148,6 +149,23 @@ def test_verify_clean_sweep(capsys):
     assert doc["instances"] > 0
     assert doc["mismatch_count"] == 0
     assert doc["mismatches"] == []
+
+
+def test_verify_instance_lists_S_m_past_the_report_bound():
+    # 26 points: n = 25 is past the n <= ENUM_MAX_N rule on report's listing
+    E = curve(FieldSpec(17), 3, 0)
+    for m in (2, 3):
+        spec = spec_all_points(E, m)
+        assert spec.n == 25
+        assert _verify_instance(spec, 300, 0, None, {}) == []
+
+
+def test_verify_clamps_m_below_n(capsys):
+    t0 = time.monotonic()
+    huge = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "1000000000", "--samples", "50"])
+    assert time.monotonic() - t0 < 2.0
+    small = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "10", "--samples", "50"])
+    assert (huge["instances"], huge["mismatch_count"]) == (small["instances"], small["mismatch_count"])
 
 
 def test_verify_fault_injection(capsys):
@@ -410,6 +428,9 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["decode", "--p", "1009", "--a", "1", "--b", "3", "--m", "2", "--erased", "1,2"],  # the H* stream
         ["decode", "--field", "31,4", "--a", "1", "--b", "3", "--m", "2", "--erased", "1"],
         ["decode", "--p", "5", "--a", "1", "--b", "1", "--m", "1000000000", "--erased", "1"],  # no 5^m formed
+        ["points", "--p", "2305843009213693951", "--a", "1", "--b", "1"],  # the field size, before trial division
+        ["points", "--field", "5,1000000000", "--a", "1", "--b", "1"],  # no 5^(10^9) formed
+        ["verify", "--max-q", "1000"],  # the sweep's curve count
     ],
 )
 def test_size_bounds_exit_3(argv):

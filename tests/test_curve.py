@@ -7,6 +7,8 @@ import pytest
 
 from stopset import (
     INFINITY,
+    EllipticCurve,
+    FieldMismatchError,
     FieldSpec,
     Point,
     add,
@@ -25,11 +27,13 @@ from conftest import nonsingular_curves
 
 def brute_points(E):
     """Oracle: try every (x, y) pair against the curve equation."""
+    f = E.field
     pts = [INFINITY]
-    for x in E.field.elements():
-        for y in E.field.elements():
-            if y * y == x ** 3 + E.a * x + E.b:
-                pts.append(Point(x.value, y.value))
+    for x in range(f.q):
+        rhs = f.add_val(f.add_val(f.pow_val(x, 3), f.mul_val(E.a, x)), E.b)
+        for y in range(f.q):
+            if f.mul_val(y, y) == rhs:
+                pts.append(Point(x, y))
     return pts
 
 
@@ -157,6 +161,20 @@ def test_invalid_curves_rejected(f5):
         curve(f5, 0, 0)  # singular
     with pytest.raises(ValueError):
         curve(FieldSpec(3), 1, 1)  # characteristic below 5
+    with pytest.raises(FieldMismatchError):
+        EllipticCurve(f5, 5, 1)  # coefficients are values below q
+    with pytest.raises(FieldMismatchError):
+        EllipticCurve(f5, 1, -1)
+
+
+def test_coefficients_are_values_and_curve_embeds_integers():
+    # in F_25 the value 7 is the element 2 + t, while the integer 7 is 7 * 1 = 2
+    f25 = FieldSpec(5, 2)
+    E = EllipticCurve(f25, 7, 1)
+    assert (E.a, E.b) == (7, 1)
+    assert curve(f25, 7, 1) == EllipticCurve(f25, 2, 1)
+    assert curve(f25, [2, 1], 1) == E
+    assert repr(E) == "E[y^2=x^3+2.1x+1.0 over F(5^2)]"
 
 
 def test_off_curve_inputs_rejected(ref_curve, f5):
@@ -182,7 +200,7 @@ def test_point_parsing(ref_curve):
 
 def test_extension_field_curve():
     f25 = FieldSpec(5, 2)
-    E = curve(f25, f25.element([1, 1]), f25.element(2))
+    E = curve(f25, [1, 1], 2)
     pts = rational_points(E)
     assert (len(pts) - 26) ** 2 <= 100  # Hasse for q = 25
     gs = group_structure(E)
@@ -193,23 +211,29 @@ def test_extension_field_curve():
 
 
 def reference_add(E, P, Q):
-    """Chord-and-tangent written with FieldElement operators; the reference
-    the value-level group law is checked against."""
+    """Chord-and-tangent with subtraction as adding the negative and
+    division through Fermat's a^(q-2); the reference the group law is
+    checked against."""
     if P.is_infinity:
         return Q
     if Q.is_infinity:
         return P
     f = E.field
-    x1, y1, x2, y2 = (f.from_value(v) for v in (P.x, P.y, Q.x, Q.y))
+    add, mul, neg = f.add_val, f.mul_val, f.neg_val
+
+    def div(a, b):
+        return mul(a, f.pow_val(b, f.q - 2))
+
+    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
     if x1 == x2:
-        if y1 == -y2:
+        if y1 == neg(y2):
             return INFINITY
-        lam = (f.element(3) * x1 * x1 + E.a) * (f.element(2) * y1).inverse()
+        lam = div(add(mul(f.element(3), mul(x1, x1)), E.a), mul(f.element(2), y1))
     else:
-        lam = (y2 - y1) * (x2 - x1).inverse()
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return Point(x3.value, y3.value)
+        lam = div(add(y2, neg(y1)), add(x2, neg(x1)))
+    x3 = add(add(mul(lam, lam), neg(x1)), neg(x2))
+    y3 = add(mul(lam, add(x1, neg(x3))), neg(y1))
+    return Point(x3, y3)
 
 
 def _check_law_on_pairs(E, pairs):

@@ -122,14 +122,14 @@ def test_census_bound(monkeypatch, p, inside):
 
 
 def dp_reference(spec):
-    """#S(m) by subset_sum_table over GroupElement coordinates."""
+    """#S(m) by subset_sum_table over coordinate tuples."""
     gs = group_structure(spec.curve)
     moduli = (gs.m1, gs.m2)
     G = AbelianGroup.from_cyclic_factors(moduli)
     elements = [
         G.element(c for c, d in zip(gs.coordinate_map[P], moduli) if d != 1) for P in spec.D
     ]
-    return subset_sum_table(elements, spec.m)[spec.m].get(G.identity().coords, 0)
+    return subset_sum_table(G, elements, spec.m)[spec.m].get(G.identity(), 0)
 
 
 def evaluation_sets(E, rng):

@@ -37,7 +37,7 @@ from stopset import (
     stopping_distance,
     sum_points,
 )
-from stopset import stoptheory
+from stopset import agcode, stoptheory
 from stopset.stoptheory import (
     _sum_context,
     count_S_m_of_spec,
@@ -243,11 +243,16 @@ def test_sample_subsets_behaviour():
 
 
 def test_enumeration_size_guard(ref_spec, monkeypatch):
-    monkeypatch.setattr(stoptheory, "ENUM_MAX_N", 4)
+    # n = 8 and m = 3: C(8, 3) = 56 sets of size m, C(8, 4) = 70 of size m + 1
+    monkeypatch.setattr(agcode, "SUBSET_LIMIT", 55)
     with pytest.raises(SizeLimitError):
         enumerate_S_m(ref_spec)
+    monkeypatch.setattr(agcode, "SUBSET_LIMIT", 69)
+    assert len(enumerate_S_m(ref_spec)) == 6
     with pytest.raises(SizeLimitError):
         enumerate_S_m1(ref_spec)
+    with pytest.raises(SizeLimitError):
+        enumerate_S_m1_direct(ref_spec)
 
 
 def test_report(ref_spec):
