@@ -191,7 +191,7 @@ def _combination_stream(
     """
     q = spec.q
     n = len(rows[0]) if rows else 0
-    add, mul = spec.val_ops()
+    add, mul = spec.add_val, spec.mul_val
     pre = [[tuple(mul(c, v) for v in row) for c in range(q)] for row in rows]
 
     def walk(level: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -267,7 +267,7 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
         g_bits = list(compress(bits, on_g))
         g_mask = sum(g_bits)
         g_inv = [spec.inv_val(v) for v in compress(g, on_g)]
-        _, mul = spec.val_ops()
+        mul = spec.mul_val
         for acc in _combination_stream(spec, rows[:-1], normalized=True):
             vanish: dict[int, int] = {}  # ratio -> the coordinates with it
             for bit, ratio in zip(g_bits, map(mul, compress(acc, on_g), g_inv)):

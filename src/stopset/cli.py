@@ -58,6 +58,14 @@ def _curve_from_args(args) -> EllipticCurve:
     return EllipticCurve(field, parse_element(field, args.a), parse_element(field, args.b))
 
 
+def _checked_m(m: int) -> int:
+    """m, once it is at least 1.  Every command that takes m asks this
+    before any bound check or point enumeration; m < n is checked with D."""
+    if m < 1:
+        raise ValueError(f"need 0 < m < n, got m={m}")
+    return m
+
+
 def _spec_for_curve(E: EllipticCurve, m: int, d_text: str) -> agcode.EllipticCodeSpec:
     if d_text == "all-minus-O":
         return agcode.spec_all_points(E, m)
@@ -142,14 +150,15 @@ def _cmd_groupcount(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    m = _checked_m(args.m)
     E = _curve_from_args(args)
     # all-minus-O is bounded before its points are enumerated, a given D
     # after it is parsed
     if args.D == "all-minus-O":
-        entries = args.m * hasse_bound(E.field.q)
+        entries = m * hasse_bound(E.field.q)
         if entries > GEN_MAX_ENTRIES:
             raise SizeLimitError(f"up to m * (Hasse bound) = {entries} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
-    spec = _spec_for_curve(E, args.m, args.D)
+    spec = _spec_for_curve(E, m, args.D)
     if spec.m * spec.n > GEN_MAX_ENTRIES:
         raise SizeLimitError(f"m * |D| = {spec.m * spec.n} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
     M = agcode.generator_matrix(spec)
@@ -167,10 +176,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    m = _checked_m(args.m)
     E = _curve_from_args(args)
     if args.D == "all-minus-O":
         group_structure(E)  # checks the census bound before it enumerates points
-    spec = _spec_for_curve(E, args.m, args.D)
+    spec = _spec_for_curve(E, m, args.D)
     rep = stoptheory.build_report(spec, seed=args.seed)
     if args.format == "csv":
         _emit(_distribution_csv(rep.distribution), args)
@@ -215,6 +225,7 @@ def _code_from_doc(doc) -> tuple[EllipticCurve, int, str]:
             raise ValueError(f"spec key {key!r} must be a string")
     if not isinstance(doc.get("m"), (int, str)):
         raise ValueError("spec key 'm' must be an integer")
+    m = _checked_m(int(doc["m"]))
     d_field = doc.get("D", "all-minus-O")
     if isinstance(d_field, list) and all(isinstance(P, str) for P in d_field):
         d_field = ";".join(d_field)
@@ -222,7 +233,7 @@ def _code_from_doc(doc) -> tuple[EllipticCurve, int, str]:
         raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
     field = parse_field(doc["field"])
     E = EllipticCurve(field, parse_element(field, doc["a"]), parse_element(field, doc["b"]))
-    return E, int(doc["m"]), d_field
+    return E, m, d_field
 
 
 def _cmd_decode(args) -> int:
@@ -232,7 +243,8 @@ def _cmd_decode(args) -> int:
     else:
         if args.m is None:
             raise ValueError("need --m (or --spec)")
-        E, m, d_text = _curve_from_args(args), args.m, args.D
+        m = _checked_m(args.m)
+        E, d_text = _curve_from_args(args), args.D
     # the H* stream is bounded before all-minus-O enumerates its points, a
     # given D after it is parsed
     q = E.field.q

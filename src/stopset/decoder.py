@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .agcode import EllipticCodeSpec, generator_matrix, is_stopping_set_masks, subset_mask, support_masks
@@ -43,20 +42,10 @@ def make_instance(spec: EllipticCodeSpec, codeword: Sequence[int], erased: Itera
     if len(word) != spec.n:
         raise ValueError(f"codeword length {len(word)} != n = {spec.n}")
     instance = ErasureInstance(spec.field, word, frozenset(erased))
-    dot = _dot(spec.field)
     for row in generator_matrix(spec).entries:
-        if dot(row, word):
+        if spec.field.dot_vals(row, word):
             raise IntegrityError("word is not in the code (nonzero syndrome)")
     return instance
-
-
-def _dot(f: FieldSpec) -> Callable[[Sequence[int], Sequence[int]], int]:
-    """Inner product of two value tuples over f."""
-    if f.k == 1:
-        p = f.p
-        return lambda a, b: sum(map(operator.mul, a, b)) % p
-    add, mul = f.val_ops()
-    return lambda a, b: reduce(add, map(mul, a, b), 0)
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -81,7 +70,7 @@ def peel(rows: Iterable[Sequence[int]], instance: ErasureInstance) -> tuple[list
     IntegrityError, the input was not a codeword.
     """
     f = instance.field
-    dot = _dot(f)
+    dot = f.dot_vals
     # erased slots hold 0, so a row's syndrome on its known positions is a
     # plain inner product
     values = [0 if j in instance.erased else v for j, v in enumerate(instance.codeword, 1)]

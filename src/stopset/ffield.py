@@ -13,9 +13,10 @@ value is sorting by enumeration order, and value 0 is the zero element.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
 
@@ -23,16 +24,32 @@ MAX_FIELD_SIZE = 2 ** 20  # guard on q = p^k
 _OP_TABLE_BOUND = 2 ** 10  # below this, extension fields cache q*q op tables
 
 
-def is_prime(n: int) -> bool:
-    """Trial division; fine at desk scale."""
-    if n < 2:
-        return False
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1, ascending and with multiplicity, by
+    trial division; fine at desk scale.  Lazy, so a caller that needs only
+    the least factor stops there."""
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            yield d
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(_prime_factors(n)) == n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization as {prime: exponent}."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    for d in _prime_factors(n):
+        out[d] = out.get(d, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +135,22 @@ class FieldSpec:
         if self.k == 1:
             if self.modulus:
                 raise ValueError("prime fields take no modulus")
-            return
-        if not self.modulus:
+        elif not self.modulus:
             object.__setattr__(self, "modulus", _smallest_irreducible(self.p, self.k))
-            return
-        mod = tuple(c % self.p for c in self.modulus)
-        if len(mod) != self.k + 1:
-            raise ValueError(f"modulus must have {self.k + 1} coefficients")
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not _is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
-        object.__setattr__(self, "modulus", mod)
+        else:
+            mod = tuple(c % self.p for c in self.modulus)
+            if len(mod) != self.k + 1:
+                raise ValueError(f"modulus must have {self.k + 1} coefficients")
+            if mod[-1] != 1:
+                raise ValueError("modulus must be monic")
+            if not _is_irreducible(mod, self.p):
+                raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
+            object.__setattr__(self, "modulus", mod)
+        self.__dict__.update(_value_ops(self))
+
+    def __reduce__(self):
+        # the bound value ops are closures; a copy rebuilds them
+        return FieldSpec, (self.p, self.k, self.modulus)
 
     @property
     def q(self) -> int:
@@ -172,48 +193,8 @@ class FieldSpec:
         return v
 
     # -- arithmetic on canonical values ---------------------------------------
-    # Prime fields use plain modular arithmetic, small extensions use cached
-    # q*q tables, large extensions fall back to per-op polynomial arithmetic.
-
-    def add_val(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        tables = _op_tables(self)
-        if tables is not None:
-            return tables[0][a][b]
-        return self.value_of(x + y for x, y in zip(self.coeffs_of(a), self.coeffs_of(b)))
-
-    def neg_val(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        tables = _op_tables(self)
-        if tables is not None:
-            return tables[2][a]
-        return self.value_of(-x for x in self.coeffs_of(a))
-
-    def sub_val(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.add_val(a, self.neg_val(b))
-
-    def mul_val(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        tables = _op_tables(self)
-        if tables is not None:
-            return tables[1][a][b]
-        prod = _poly_mul(self.coeffs_of(a), self.coeffs_of(b), self.p)
-        return self.value_of(_poly_rem(prod, self.modulus, self.p))
-
-    def inv_val(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.q}")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        tables = _op_tables(self)
-        if tables is not None:
-            return tables[3][a]
-        return self.pow_val(a, self.q - 2)
+    # add_val, neg_val, sub_val, mul_val, inv_val and dot_vals are plain
+    # functions bound on each instance by _value_ops; pow_val builds on them.
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:
@@ -226,19 +207,6 @@ class FieldSpec:
             base = self.mul_val(base, base)
             e >>= 1
         return result
-
-    def val_ops(self) -> "tuple[Callable[[int, int], int], Callable[[int, int], int]]":
-        """(add, mul) on canonical values as plain functions, resolved once
-        for loops that call them per entry: no method dispatch and no
-        per-call table lookup."""
-        if self.k == 1:
-            p = self.p
-            return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
-        tables = _op_tables(self)
-        if tables is None:
-            return self.add_val, self.mul_val
-        add, mul = tables[:2]
-        return (lambda a, b: add[a][b]), (lambda a, b: mul[a][b])
 
     def sqrt_vals(self, a: int) -> tuple[int, ...]:
         """All square roots of the value a, sorted, possibly empty."""
@@ -259,18 +227,54 @@ class FieldSpec:
         return f"F({self.p}^{self.k})"
 
 
+def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
+    """The value ops of `spec` as plain functions, by the one route its size
+    picks: `%` arithmetic in a prime field, the `_op_tables` lookups in an
+    extension of at most _OP_TABLE_BOUND elements, and coefficient lists
+    reduced by the modulus above that, with a Fermat inverse a^(q-2).
+    The inverse of zero raises ZeroDivisionError on every route."""
+    p, q = spec.p, spec.q
+    if spec.k == 1:
+        add = lambda a, b: (a + b) % p
+        neg = lambda a: -a % p
+        sub = lambda a, b: (a - b) % p
+        mul = lambda a, b: a * b % p
+        invert = lambda a: pow(a, -1, p)
+        dot = lambda a, b: sum(map(operator.mul, a, b)) % p
+    else:
+        if q <= _OP_TABLE_BOUND:
+            add_table, mul_table, neg_table, inv_table = _op_tables(spec)
+            add = lambda a, b: add_table[a][b]
+            neg = neg_table.__getitem__
+            mul = lambda a, b: mul_table[a][b]
+            invert = inv_table.__getitem__
+        else:
+            coeffs, value_of, mod = spec.coeffs_of, spec.value_of, spec.modulus
+            add = lambda a, b: value_of(map(operator.add, coeffs(a), coeffs(b)))
+            neg = lambda a: value_of(map(operator.neg, coeffs(a)))
+            mul = lambda a, b: value_of(_poly_rem(_poly_mul(coeffs(a), coeffs(b), p), mod, p))
+            invert = lambda a: spec.pow_val(a, q - 2)
+        sub = lambda a, b: add(a, neg(b))
+        dot = lambda a, b: reduce(add, map(mul, a, b), 0)
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in F_{q}")
+        return invert(a)
+
+    return {"add_val": add, "neg_val": neg, "sub_val": sub, "mul_val": mul, "inv_val": inv, "dot_vals": dot}
+
+
 @lru_cache(maxsize=None)
 def _op_tables(spec: FieldSpec):
-    """(add, mul, neg, inv) lookup tables for small extension fields, else
-    None; inv[0] is 0 and never read.
+    """(add, mul, neg, inv) lookup tables for an extension field of at most
+    _OP_TABLE_BOUND elements; inv[0] is 0 and never read.
 
     Addition is coefficientwise mod p, so its table grows one coefficient
     at a time.  Multiplication goes through discrete logs to the primitive
     element g of least value: a * b = g^(log a + log b).  Both cost O(q^2)
     int operations and O(q) polynomial products."""
     q, p = spec.q, spec.p
-    if q > _OP_TABLE_BOUND:
-        return None
     digit = [[(a + b) % p for b in range(p)] for a in range(p)]
     add = digit
     for _ in range(spec.k - 1):

@@ -16,23 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import IntegrityError
-from .ffield import is_prime
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at desk scale."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .ffield import factorize, is_prime
 
 
 def moebius(n: int) -> int:

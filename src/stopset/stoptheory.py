@@ -50,11 +50,13 @@ class Verdict(enum.Enum):
     NOT_STOPPING_INTERIOR_ZERO = "NotStopping-InteriorZero"
 
 
-_STOPPING = {
+# a tuple, so membership compares members by identity: Enum.__hash__ runs
+# in Python, once per subset the oracle check tests
+_STOPPING = (
     Verdict.STOPPING_BY_SIZE,
     Verdict.STOPPING_SUM_ZERO,
     Verdict.STOPPING_NO_INTERIOR_ZERO,
-}
+)
 
 
 @dataclass(frozen=True)
@@ -104,16 +106,19 @@ _SUM_NONZERO = (Verdict.NOT_STOPPING_SUM_NONZERO, None)
 _NO_INTERIOR_ZERO = (Verdict.STOPPING_NO_INTERIOR_ZERO, None)
 
 
-def _rule(spec: EllipticCodeSpec, A: Sequence[int]) -> tuple[Verdict, int | None]:
+def _rule(
+    spec: EllipticCodeSpec, A: Sequence[int], ctx: _SumContext | None = None
+) -> tuple[Verdict, int | None]:
     """The size casework on the distinct positions A (1-based), through the
-    packed coordinates of _sum_context: the verdict, and the witness i
-    with sum(A \\ {i}) = O for the interior-zero verdict."""
+    packed coordinates of _sum_context (or `ctx`, that context resolved
+    once by a caller that tests many subsets): the verdict, and the
+    witness i with sum(A \\ {i}) = O for the interior-zero verdict."""
     size, m = len(A), spec.m
     if size == 0 or size >= m + 2:
         return _BY_SIZE
     if size < m:
         return _NOT_BY_SIZE
-    _, _, packed, zeros = _sum_context(spec)
+    _, _, packed, zeros = ctx or _sum_context(spec)
     total = sum([packed[i] for i in A])
     if size == m:
         return _SUM_ZERO if total in zeros else _SUM_NONZERO
@@ -332,10 +337,11 @@ def oracle_agreement_check(
     costs |A| big-int operations instead of a scan over every row."""
     rng = random.Random(seed)
     cols = agcode.column_sets(masks, spec.n)
+    ctx = _sum_context(spec)
     mismatches = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
-            by_rule = _rule(spec, A)[0] in _STOPPING
+            by_rule = _rule(spec, A, ctx)[0] in _STOPPING
             by_matrix = agcode.is_stopping_set_columns(cols, A)
             if by_rule != by_matrix:
                 mismatches.append(

@@ -349,6 +349,12 @@ GOLDEN_LADDER = [
     # the reach of the group law: N = 1060, Z/2 x Z/530
     (["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "4"], 0,
      "ee31e824ab9394e7afd9ed798b7bdfc27e8797fe1b6b824eb4b3f51054202f37"),
+    # the table route at its largest prime square, q = 961, and the
+    # polynomial route past the table bound, q = 1369
+    (["points", "--field", "31,2", "--a", "1", "--b", "3"], 0,
+     "5d24bf3c92eab72b9ccfb5a978a779fb8e49825bb9db93355574356dcb5d8aa8"),
+    (["gen", "--field", "37,2", "--a", "1", "--b", "3", "--m", "3"], 0,
+     "fa4355307ace1fad5ebd9d558174807a771030c63f073316d30350a7d5d90c96"),
 ]
 
 
@@ -439,6 +445,33 @@ def test_size_bounds_exit_3(argv):
     assert time.monotonic() - t0 < 2.0
     assert proc.returncode == 3
     assert "size bound exceeded" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--m", "0"],
+        ["report", "--m", "0"],
+        ["decode", "--m", "0", "--erased", "1"],
+        ["decode", "--spec", "{spec}", "--erased", "1"],
+    ],
+    ids=["gen", "report", "decode-flags", "decode-spec"],
+)
+def test_bad_m_exits_2_before_any_bound(tmp_path, argv):
+    # over F_1000003 a point enumeration takes seconds and the census bound
+    # exits 3, so the m check must come first
+    spec_file = tmp_path / "code.json"
+    spec_file.write_text(json.dumps({"field": "1000003", "a": "1", "b": "1", "m": 0}))
+    curve_flags = [] if "--spec" in argv else ["--p", "1000003", "--a", "1", "--b", "1"]
+    argv = [arg.format(spec=spec_file) for arg in argv]
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "stopset", *argv[:1], *curve_flags, *argv[1:]], capture_output=True, text=True, timeout=30
+    )
+    assert time.monotonic() - t0 < 2.0
+    assert proc.returncode == 2
+    assert "need 0 < m" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from stopset.errors import SizeLimitError
-from stopset.ffield import FieldSpec, field_str, parse_element, parse_field
+from stopset.ffield import _OP_TABLE_BOUND, FieldSpec, field_str, parse_element, parse_field
 
 
 # -- independent oracle: textbook polynomial arithmetic ----------------------
@@ -142,8 +143,34 @@ def test_sqrt_large_field_matches_euler():
 
 
 def test_inverse_of_zero_raises(f5):
-    with pytest.raises(ZeroDivisionError):
-        f5.inv_val(0)
+    # one field per arithmetic route: prime, q^2 tables, polynomials
+    for spec in (f5, FieldSpec(5, 2), FieldSpec(37, 2)):
+        with pytest.raises(ZeroDivisionError):
+            spec.inv_val(0)
+
+
+@pytest.mark.parametrize("p,k", [(37, 2), (11, 3), (3, 7)])
+def test_polynomial_route_matches_naive_oracle(p, k):
+    # fields past the table bound add and multiply coefficient lists
+    spec = FieldSpec(p, k)
+    assert spec.q > _OP_TABLE_BOUND
+    rng = random.Random(p * k)
+    for _ in range(200):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        ca, cb = spec.coeffs_of(a), spec.coeffs_of(b)
+        assert spec.coeffs_of(spec.add_val(a, b)) == tuple((x + y) % p for x, y in zip(ca, cb))
+        assert spec.coeffs_of(spec.sub_val(a, b)) == tuple((x - y) % p for x, y in zip(ca, cb))
+        assert spec.coeffs_of(spec.neg_val(a)) == tuple(-x % p for x in ca)
+        assert spec.coeffs_of(spec.mul_val(a, b)) == naive_poly_mul_mod(list(ca), list(cb), spec.modulus, p)
+        if a:
+            assert spec.mul_val(a, spec.inv_val(a)) == 1
+
+
+def test_bound_ops_survive_pickling():
+    spec = FieldSpec(5, 2)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    assert all(copy.mul_val(a, 7) == spec.mul_val(a, 7) for a in range(spec.q))
 
 
 def test_invalid_specs_rejected():
