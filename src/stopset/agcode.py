@@ -69,10 +69,16 @@ def require_stream(q: int, m: int, n: int) -> None:
         raise SizeLimitError(f"{q}^{m} rows of {n} entries exceed the stream bound {STREAM_LIMIT}")
 
 
+def subsets_fit(n: int, size: int) -> bool:
+    """True when the C(n, size) subsets of n positions fit SUBSET_LIMIT;
+    every walk over them asks this first."""
+    return math.comb(n, size) <= SUBSET_LIMIT
+
+
 def require_subsets(n: int, size: int) -> None:
     """Refuse a walk over the C(n, size) subsets of n positions past
     SUBSET_LIMIT."""
-    if math.comb(n, size) > SUBSET_LIMIT:
+    if not subsets_fit(n, size):
         raise SizeLimitError(f"C({n},{size}) subsets exceed the bound {SUBSET_LIMIT}")
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import agcode, decoder, stoptheory
-from .curve import EllipticCurve, group_structure, hasse_bound, parse_point, point_str, rational_points
+from .curve import EllipticCurve, group_structure, hasse_bound, parse_point, point_str, rational_points, require_census
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import field_str, is_prime, parse_element, parse_field
 from .groupcount import AbelianGroup, count_S_m, count_formula
@@ -26,6 +26,7 @@ GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most this many matrix entries, m * 
 GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 VERIFY_MAX_CURVES = 2 ** 10  # `verify` tries p^2 pairs (a, b) per prime; primes up to 19 make 1014
+ALL_MINUS_O = "all-minus-O"  # D = every rational point but infinity
 
 
 class VerificationFailure(Exception):
@@ -49,33 +50,82 @@ def _distribution_csv(dist) -> str:
     return "size,count\n" + "".join(f"{i},{t}\n" for i, t in enumerate(dist))
 
 
-def _curve_from_args(args) -> EllipticCurve:
+def _curve_text(args) -> tuple[str, str, str]:
+    """(field, a, b) as the flags give them, the field named once."""
+    if args.p is not None and args.field is not None:
+        raise ValueError("the field is named twice: --p and --field")
     if not args.field and not args.p:
         raise ValueError("need --p or --field")
     if args.a is None or args.b is None:
         raise ValueError("need --a and --b")
-    field = parse_field(args.field if args.field else str(args.p))
-    return EllipticCurve(field, parse_element(field, args.a), parse_element(field, args.b))
+    return args.field or str(args.p), args.a, args.b
 
 
-def _checked_m(m: int) -> int:
-    """m, once it is at least 1.  Every command that takes m asks this
-    before any bound check or point enumeration; m < n is checked with D."""
+def _curve(field_text: str, a: str, b: str) -> EllipticCurve:
+    field = parse_field(field_text)
+    return EllipticCurve(field, parse_element(field, a), parse_element(field, b))
+
+
+def _code_text(args) -> tuple[str, str, str, int, str]:
+    """(field, a, b, m, D) as a command names its code: by the flags, or by
+    the document of `decode --spec`, never both.  The document is an object
+    with strings "field", "a" and "b", an integer "m" (or its digits), and
+    "D" as 'all-minus-O' (the default), 'x,y;x,y;...' or a list of 'x,y'
+    strings."""
+    if getattr(args, "spec", None) is None:
+        if args.m is None:
+            raise ValueError("need --m (or --spec)")
+        return (*_curve_text(args), args.m, ALL_MINUS_O if args.D is None else args.D)
+    for flag in ("p", "field", "a", "b", "m", "D"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"the code is named twice: --spec and --{flag}")
+    with open(args.spec) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the spec file must hold a JSON object")
+    for key in ("field", "a", "b"):
+        if not isinstance(doc.get(key), str):
+            raise ValueError(f"spec key {key!r} must be a string")
+    m = doc.get("m")
+    if isinstance(m, bool) or not isinstance(m, (int, str)):
+        raise ValueError("spec key 'm' must be an integer")
+    d_text = doc.get("D", ALL_MINUS_O)
+    if isinstance(d_text, list) and all(isinstance(P, str) for P in d_text):
+        d_text = ";".join(d_text)
+    if not isinstance(d_text, str):
+        raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
+    return doc["field"], doc["a"], doc["b"], int(m), d_text
+
+
+def _code(args, fits) -> agcode.EllipticCodeSpec:
+    """The code a command names, checked in one order: m >= 1 before the
+    curve is built; then the command's own bound fits(E, m, n), with n the
+    Hasse bound before all-minus-O enumerates its points, and with n = |D|
+    once D is known (m < n is checked with D)."""
+    field_text, a, b, m, d_text = _code_text(args)
     if m < 1:
         raise ValueError(f"need 0 < m < n, got m={m}")
-    return m
+    E = _curve(field_text, a, b)
+    if d_text == ALL_MINUS_O:
+        fits(E, m, hasse_bound(E.field.q))
+        spec = agcode.spec_all_points(E, m)
+    else:
+        D = tuple(parse_point(E, part) for part in d_text.split(";") if part.strip())
+        spec = agcode.EllipticCodeSpec(E, D, m)
+    fits(E, m, spec.n)
+    return spec
 
 
-def _spec_for_curve(E: EllipticCurve, m: int, d_text: str) -> agcode.EllipticCodeSpec:
-    if d_text == "all-minus-O":
-        return agcode.spec_all_points(E, m)
-    D = tuple(parse_point(E, part) for part in d_text.split(";") if part.strip())
-    return agcode.EllipticCodeSpec(E, D, m)
-
-
-def _curve_header(E: EllipticCurve) -> dict:
+def _header(E: EllipticCurve, **fields) -> dict:
+    """The JSON head every curve command prints: schema, field, a, b, then
+    the command's own fields."""
     text = E.field.format_element
-    return {"field": field_str(E.field), "a": text(E.a), "b": text(E.b)}
+    return {"schema": 1, "field": field_str(E.field), "a": text(E.a), "b": text(E.b), **fields}
+
+
+def _code_header(spec: agcode.EllipticCodeSpec, **fields) -> dict:
+    """The head of `gen`, `report` and `decode`: the curve's, then m and n."""
+    return _header(spec.curve, m=spec.m, n=spec.n, **fields)
 
 
 def _add_curve_args(sub, with_m: bool, required: bool = True) -> None:
@@ -85,20 +135,16 @@ def _add_curve_args(sub, with_m: bool, required: bool = True) -> None:
     sub.add_argument("--b", required=required, help="curve coefficient b")
     if with_m:
         sub.add_argument("--m", type=int, required=required, help="pole bound at infinity")
-        sub.add_argument(
-            "--D",
-            default="all-minus-O",
-            help="evaluation points: 'all-minus-O' or 'x,y;x,y;...'",
-        )
+        sub.add_argument("--D", help="evaluation points: 'all-minus-O' or 'x,y;x,y;...'")
 
 
 def _cmd_points(args) -> int:
-    E = _curve_from_args(args)
+    E = _curve(*_curve_text(args))
     order = hasse_bound(E.field.q)
     if order > POINTS_MAX_ORDER:
         raise SizeLimitError(f"up to {order} points exceed the listing bound {POINTS_MAX_ORDER}")
     pts = rational_points(E)
-    payload = {"schema": 1, **_curve_header(E), "count": len(pts)}
+    payload = _header(E, count=len(pts))
     text = E.field.format_element
     payload["points"] = ["inf" if P.is_infinity else [text(P.x), text(P.y)] for P in pts]
     _emit(payload, args)
@@ -106,16 +152,11 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    E = _curve_from_args(args)
+    E = _curve(*_curve_text(args))
     gs = group_structure(E)
-    payload = {
-        "schema": 1,
-        **_curve_header(E),
-        "order": gs.order,
-        "m1": gs.m1,
-        "m2": gs.m2,
-        "generators": [point_str(E.field, g) for g in gs.generators],
-    }
+    payload = _header(
+        E, order=gs.order, m1=gs.m1, m2=gs.m2, generators=[point_str(E.field, g) for g in gs.generators]
+    )
     _emit(payload, args)
     return 0
 
@@ -149,55 +190,40 @@ def _cmd_groupcount(args) -> int:
     return 0
 
 
+def _gen_fits(E: EllipticCurve, m: int, n: int) -> None:
+    if m * n > GEN_MAX_ENTRIES:
+        raise SizeLimitError(f"up to m * |D| = {m * n} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
+
+
 def _cmd_gen(args) -> int:
-    m = _checked_m(args.m)
-    E = _curve_from_args(args)
-    # all-minus-O is bounded before its points are enumerated, a given D
-    # after it is parsed
-    if args.D == "all-minus-O":
-        entries = m * hasse_bound(E.field.q)
-        if entries > GEN_MAX_ENTRIES:
-            raise SizeLimitError(f"up to m * (Hasse bound) = {entries} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
-    spec = _spec_for_curve(E, m, args.D)
-    if spec.m * spec.n > GEN_MAX_ENTRIES:
-        raise SizeLimitError(f"m * |D| = {spec.m * spec.n} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
+    spec = _code(args, _gen_fits)
     M = agcode.generator_matrix(spec)
-    payload = {
-        "schema": 1,
-        **_curve_header(spec.curve),
-        "m": spec.m,
-        "n": spec.n,
-        "D": [point_str(spec.field, P) for P in spec.D],
-        "role": M.role,
-        "matrix": [[spec.field.format_element(e) for e in row] for row in M.entries],
-    }
+    payload = _code_header(
+        spec,
+        D=[point_str(spec.field, P) for P in spec.D],
+        role=M.role,
+        matrix=[[spec.field.format_element(e) for e in row] for row in M.entries],
+    )
     _emit(payload, args)
     return 0
 
 
 def _cmd_report(args) -> int:
-    m = _checked_m(args.m)
-    E = _curve_from_args(args)
-    if args.D == "all-minus-O":
-        group_structure(E)  # checks the census bound before it enumerates points
-    spec = _spec_for_curve(E, m, args.D)
+    spec = _code(args, lambda E, m, n: require_census(E.field.q))
     rep = stoptheory.build_report(spec, seed=args.seed)
     if args.format == "csv":
         _emit(_distribution_csv(rep.distribution), args)
         return 0
-    payload = {
-        "schema": 1,
-        **_curve_header(spec.curve),
-        "m": spec.m,
-        "n": spec.n,
-        "D": [point_str(spec.field, P) for P in spec.D],
-        "group": {"m1": rep.group.m1, "m2": rep.group.m2},
-        "s_m_count": rep.S_m_count,
-        "s_m": [list(A) for A in rep.S_m] if rep.S_m is not None else None,
-        "distribution": list(rep.distribution),
-        "stopping_distance": rep.stopping_distance,
-        "oracle_agreement": rep.oracle_agreement,
-    }
+    payload = _code_header(
+        spec,
+        D=[point_str(spec.field, P) for P in spec.D],
+        group={"m1": rep.group.m1, "m2": rep.group.m2},
+        s_m_count=rep.S_m_count,
+        s_m=[list(A) for A in rep.S_m] if rep.S_m is not None else None,
+        distribution=list(rep.distribution),
+        stopping_distance=rep.stopping_distance,
+        oracle_agreement=rep.oracle_agreement,
+    )
     _emit(payload, args)
     return 0
 
@@ -214,44 +240,8 @@ def _cmd_mds(args) -> int:
     return 0
 
 
-def _code_from_doc(doc) -> tuple[EllipticCurve, int, str]:
-    """(curve, m, D text) of a `decode --spec` document: an object with strings
-    "field", "a" and "b", an integer "m" (or its digits), and "D" as
-    'all-minus-O' (the default), 'x,y;x,y;...' or a list of 'x,y' strings."""
-    if not isinstance(doc, dict):
-        raise ValueError("the spec file must hold a JSON object")
-    for key in ("field", "a", "b"):
-        if not isinstance(doc.get(key), str):
-            raise ValueError(f"spec key {key!r} must be a string")
-    if not isinstance(doc.get("m"), (int, str)):
-        raise ValueError("spec key 'm' must be an integer")
-    m = _checked_m(int(doc["m"]))
-    d_field = doc.get("D", "all-minus-O")
-    if isinstance(d_field, list) and all(isinstance(P, str) for P in d_field):
-        d_field = ";".join(d_field)
-    if not isinstance(d_field, str):
-        raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
-    field = parse_field(doc["field"])
-    E = EllipticCurve(field, parse_element(field, doc["a"]), parse_element(field, doc["b"]))
-    return E, m, d_field
-
-
 def _cmd_decode(args) -> int:
-    if args.spec:
-        with open(args.spec) as fh:
-            E, m, d_text = _code_from_doc(json.load(fh))
-    else:
-        if args.m is None:
-            raise ValueError("need --m (or --spec)")
-        m = _checked_m(args.m)
-        E, d_text = _curve_from_args(args), args.D
-    # the H* stream is bounded before all-minus-O enumerates its points, a
-    # given D after it is parsed
-    q = E.field.q
-    if d_text == "all-minus-O":
-        agcode.require_stream(q, m, hasse_bound(q))
-    spec = _spec_for_curve(E, m, d_text)
-    agcode.require_stream(q, m, spec.n)
+    spec = _code(args, lambda E, m, n: agcode.require_stream(E.field.q, m, n))
     f = spec.field
     if args.codeword == "zero":
         word = [0] * spec.n
@@ -260,16 +250,13 @@ def _cmd_decode(args) -> int:
     erased = [int(i) for i in args.erased.split(",") if i.strip()]
     instance = decoder.make_instance(spec, word, erased)
     recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
-    payload = {
-        "schema": 1,
-        **_curve_header(spec.curve),
-        "m": spec.m,
-        "n": spec.n,
-        "erased": sorted(instance.erased),
-        "recovered": [None if v is None else f.format_element(v) for v in recovered],
-        "residual": sorted(residual),
-        "fully_recovered": not residual,
-    }
+    payload = _code_header(
+        spec,
+        erased=sorted(instance.erased),
+        recovered=[None if v is None else f.format_element(v) for v in recovered],
+        residual=sorted(residual),
+        fully_recovered=not residual,
+    )
     _emit(payload, args)
     return 0
 

@@ -92,6 +92,13 @@ def hasse_bound(q: int) -> int:
     return q + 1 + math.isqrt(4 * q)
 
 
+def require_census(q: int) -> None:
+    """Refuse the order census of a curve over F_q when the Hasse bound on
+    its order passes CENSUS_MAX_ORDER; needs no point of the curve."""
+    if hasse_bound(q) > CENSUS_MAX_ORDER:
+        raise SizeLimitError(f"order up to {hasse_bound(q)} exceeds the census bound {CENSUS_MAX_ORDER}")
+
+
 def _check_point(E: EllipticCurve, P: Point) -> None:
     if not E.is_on_curve(P):
         raise ValueError(f"{point_str(E.field, P)} is not on {E!r}")
@@ -240,10 +247,9 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     pair generates a direct sum, which makes the map a bijection and (by the
     uniqueness of representations) an isomorphism.
 
-    Checks the Hasse bound on the order against CENSUS_MAX_ORDER first.
+    Checks the census bound first (require_census).
     """
-    if hasse_bound(E.field.q) > CENSUS_MAX_ORDER:
-        raise SizeLimitError(f"order up to {hasse_bound(E.field.q)} exceeds the census bound {CENSUS_MAX_ORDER}")
+    require_census(E.field.q)
     pts = rational_points(E)
     N = len(pts)
     orders = _orders(E, pts)

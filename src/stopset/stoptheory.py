@@ -381,11 +381,12 @@ class StoppingReport:
 
 def build_report(spec: EllipticCodeSpec, sample_cap: int = 2000, seed: int = 0) -> StoppingReport:
     """Assemble the census: distribution, #S(m), the sets themselves when
-    n <= ENUM_MAX_N and #S(m) <= SET_LIMIT, and (when the dual
-    codebook is streamable) the oracle's disagreements."""
+    n <= ENUM_MAX_N, #S(m) <= SET_LIMIT and the m-subsets fit
+    agcode.subsets_fit, and (when the dual codebook is streamable) the
+    oracle's disagreements."""
     dist = distribution(spec)
     sets = None
-    if dist[spec.m] <= SET_LIMIT and spec.n <= ENUM_MAX_N:
+    if dist[spec.m] <= SET_LIMIT and spec.n <= ENUM_MAX_N and agcode.subsets_fit(spec.n, spec.m):
         sets = enumerate_S_m(spec)
     mismatches = None
     if agcode.rows_fit(spec.field.q, spec.m):

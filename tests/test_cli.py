@@ -604,6 +604,7 @@ def test_readme_examples_inside_the_bounds(capsys):
         ({"field": "5", "a": "1", "b": "1", "m": 3, "D": [1, 2]}, "'D' must be"),
         ({"field": 5, "a": "1", "b": "1", "m": 3}, "'field' must be a string"),
         ({"field": "5", "a": "1", "b": "1", "m": [3]}, "'m' must be an integer"),
+        ({"field": "5", "a": "1", "b": "1", "m": True}, "'m' must be an integer"),
     ],
 )
 def test_decode_spec_of_wrong_shape_exits_2(capsys, tmp_path, doc, message):
@@ -613,3 +614,52 @@ def test_decode_spec_of_wrong_shape_exits_2(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+# the first 24 affine points `points` lists on y^2 = x^3 + x + 3 over F_1009
+P1009_D24 = (
+    "0,149;0,860;1,244;1,765;4,468;4,541;6,15;6,994;7,290;7,719;8,98;8,911;"
+    "9,126;9,883;10,2;10,1007;11,423;11,586;17,336;17,673;18,306;18,703;20,256;20,753"
+)
+
+
+def test_report_omits_S_m_past_the_subset_bound(capsys):
+    # n = 24 and #S(12) = 4208 pass the listing rule, but C(24, 12) does not
+    # fit the subset bound of the enumeration
+    doc = run_json(capsys, ["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "12", "--D", P1009_D24])
+    assert doc["s_m_count"] == 4208
+    assert doc["s_m"] is None
+
+
+def _assert_named_twice(capsys, argv, sources):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and all(source in captured.err for source in sources)
+
+
+def test_report_refuses_a_field_named_twice(capsys):
+    _assert_named_twice(capsys, ["report", "--p", "7", "--field", "5", "--a", "1", "--b", "1", "--m", "2"], ["--p", "--field"])
+
+
+def test_decode_refuses_flags_beside_a_spec_file(capsys, tmp_path):
+    spec_file = tmp_path / "code.json"
+    spec_file.write_text(json.dumps({"field": "5", "a": "1", "b": "1", "m": 3}))
+    argv = ["decode", "--spec", str(spec_file), "--p", "7", "--erased", "1"]
+    _assert_named_twice(capsys, argv, ["--spec", "--p"])
+
+
+@pytest.mark.parametrize(
+    "flags_D, doc_D",
+    [(None, None), (REF_D, REF_D), (REF_D, REF_D.split(";"))],
+    ids=["all-minus-O", "D-string", "D-list"],
+)
+def test_decode_spec_prints_what_the_flags_print(capsys, tmp_path, flags_D, doc_D):
+    tail = ["--erased", "1,2,6"]
+    assert main(["decode", *REF, "--m", "3", *(["--D", flags_D] if flags_D else []), *tail]) == 0
+    by_flags = capsys.readouterr().out
+    doc = {"field": "5", "a": "1", "b": "1", "m": 3, **({"D": doc_D} if doc_D else {})}
+    spec_file = tmp_path / "code.json"
+    spec_file.write_text(json.dumps(doc))
+    assert main(["decode", "--spec", str(spec_file), *tail]) == 0
+    assert capsys.readouterr().out == by_flags
