@@ -27,6 +27,7 @@ GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 VERIFY_MAX_CURVES = 2 ** 10  # `verify` tries p^2 pairs (a, b) per prime; primes up to 19 make 1014
 ALL_MINUS_O = "all-minus-O"  # D = every rational point but infinity
+_SPEC_KEYS = {"field", "a", "b", "m", "D"}  # the keys of a `decode --spec` document
 
 
 class VerificationFailure(Exception):
@@ -54,11 +55,11 @@ def _curve_text(args) -> tuple[str, str, str]:
     """(field, a, b) as the flags give them, the field named once."""
     if args.p is not None and args.field is not None:
         raise ValueError("the field is named twice: --p and --field")
-    if not args.field and not args.p:
+    if not args.field and args.p is None:
         raise ValueError("need --p or --field")
     if args.a is None or args.b is None:
         raise ValueError("need --a and --b")
-    return args.field or str(args.p), args.a, args.b
+    return args.field if args.p is None else str(args.p), args.a, args.b
 
 
 def _curve(field_text: str, a: str, b: str) -> EllipticCurve:
@@ -83,18 +84,26 @@ def _code_text(args) -> tuple[str, str, str, int, str]:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("the spec file must hold a JSON object")
+    unknown = sorted(set(doc) - _SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown spec key {unknown[0]!r}; the keys are field, a, b, m and D")
     for key in ("field", "a", "b"):
         if not isinstance(doc.get(key), str):
             raise ValueError(f"spec key {key!r} must be a string")
     m = doc.get("m")
-    if isinstance(m, bool) or not isinstance(m, (int, str)):
+    if isinstance(m, str):
+        try:
+            m = int(m)
+        except ValueError:
+            m = None
+    if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError("spec key 'm' must be an integer")
     d_text = doc.get("D", ALL_MINUS_O)
     if isinstance(d_text, list) and all(isinstance(P, str) for P in d_text):
         d_text = ";".join(d_text)
     if not isinstance(d_text, str):
         raise ValueError("spec key 'D' must be a string or a list of 'x,y' strings")
-    return doc["field"], doc["a"], doc["b"], int(m), d_text
+    return doc["field"], doc["a"], doc["b"], m, d_text
 
 
 def _code(args, fits) -> agcode.EllipticCodeSpec:

@@ -26,7 +26,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import agcode
@@ -325,21 +325,53 @@ def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tupl
     return list(zip(*columns))
 
 
+def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int], ctx: _SumContext) -> bool:
+    """Whether the zero sets of the rows with supports `masks` prove the
+    casework right on every subset of m + 1 or more positions.  They do
+    when (i) no row vanishes at more than m positions, and (ii) the rows
+    vanishing at exactly m positions vanish on exactly the m-subsets that
+    sum to O.  Given (i), a set of m + 2 or more positions meets every row
+    at least twice, and an (m + 1)-set meets some row exactly once iff it
+    holds the zero set of a row that vanishes at m positions; given (ii),
+    iff it has an interior zero.
+
+    The zero-sum m-subsets come from completing each (m - 1)-subset T by
+    the point of D that is minus T's sum, one lookup per T: `complete`
+    maps each packed zero sum less P_j to P_j's bit.  A completion inside
+    T leaves m - 1 bits and is dropped."""
+    n, m = spec.n, spec.m
+    weights = list(map(int.bit_count, masks))
+    if min(weights, default=n) < n - m:
+        return False
+    full = (1 << n) - 1
+    zero_sets = {full ^ r for r, w in zip(masks, weights) if w == n - m}
+    packed, bits = ctx.packed[1:], [1 << j for j in range(n)]
+    complete = {z - p: bit for p, bit in zip(packed, bits) for z in ctx.zeros}
+    sums = map(sum, combinations(packed, m - 1))
+    subsets = map(sum, combinations(bits, m - 1))
+    found = set(map(operator.or_, subsets, map(complete.get, sums, repeat(0))))
+    return zero_sets == {A for A in found if A.bit_count() == m}
+
+
 def oracle_agreement_check(
     spec: EllipticCodeSpec, masks: Collection[int], sample_cap: int = 5000, seed: int = 0
 ) -> list[dict]:
     """Compare the size casework that classify applies against the
     parity-check oracle given by the H* support `masks` on subsets of sizes
     m-1..m+2 (all of them, or `sample_cap` sampled per size); returns one
-    record per disagreement.
+    record per disagreement.  When `_zero_sets_settle` proves the two
+    agree on every subset of size m + 1 and up, only sizes m - 1 and m are
+    checked: those sizes are drawn first, so their draws are the same
+    either way.
 
     The masks are transposed once into column bitsets, so each subset
     costs |A| big-int operations instead of a scan over every row."""
     rng = random.Random(seed)
     cols = agcode.column_sets(masks, spec.n)
     ctx = _sum_context(spec)
+    top = spec.m if _zero_sets_settle(spec, masks, ctx) else spec.m + 2
     mismatches = []
-    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
+    for size in range(spec.m - 1, min(top, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
             by_rule = _rule(spec, A, ctx)[0] in _STOPPING
             by_matrix = agcode.is_stopping_set_columns(cols, A)

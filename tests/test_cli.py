@@ -355,6 +355,13 @@ GOLDEN_LADDER = [
      "5d24bf3c92eab72b9ccfb5a978a779fb8e49825bb9db93355574356dcb5d8aa8"),
     (["gen", "--field", "37,2", "--a", "1", "--b", "3", "--m", "3"], 0,
      "fa4355307ace1fad5ebd9d558174807a771030c63f073316d30350a7d5d90c96"),
+    # corrupted supports settle nothing, so the oracle samples sizes
+    # m - 1..m + 2 as it does without the zero-set proof
+    (["verify", "--max-q", "7", "--max-m", "3", "--corrupt", "11", "--samples", "40"], 1,
+     "25768679a7134542d8ac7d5c33e1f604184a3c67b1f2fb5a3413b98da9a6bd1a"),
+    # n = 46 > 24, with every size past the 2,000-subset cap
+    (["report", "--p", "43", "--a", "1", "--b", "3", "--m", "4"], 0,
+     "2fbf26a15f856e246b1868951148405d53b2daaa9488c086a613585d32553685"),
 ]
 
 
@@ -605,6 +612,9 @@ def test_readme_examples_inside_the_bounds(capsys):
         ({"field": 5, "a": "1", "b": "1", "m": 3}, "'field' must be a string"),
         ({"field": "5", "a": "1", "b": "1", "m": [3]}, "'m' must be an integer"),
         ({"field": "5", "a": "1", "b": "1", "m": True}, "'m' must be an integer"),
+        ({"field": "5", "a": "1", "b": "1", "m": "abc"}, "'m' must be an integer"),
+        # a misspelled "D" must not fall back to all-minus-O
+        ({"field": "5", "a": "1", "b": "1", "m": 3, "d": REF_D}, "unknown spec key 'd'"),
     ],
 )
 def test_decode_spec_of_wrong_shape_exits_2(capsys, tmp_path, doc, message):
@@ -636,6 +646,12 @@ def _assert_named_twice(capsys, argv, sources):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and all(source in captured.err for source in sources)
+
+
+def test_points_names_a_bad_prime_not_a_missing_one(capsys):
+    assert main(["points", "--p", "0", "--a", "1", "--b", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "characteristic 0 is not prime" in err and "need --p" not in err
 
 
 def test_report_refuses_a_field_named_twice(capsys):

@@ -359,3 +359,88 @@ def test_subgroup_test_rejects_off_curve_points(ref_spec, f5):
     assert not ref_spec.curve.is_on_curve(stray)
     with pytest.raises(ValueError):
         is_subgroup_minus_O(ref_spec.curve, ref_spec.D + (stray,))
+
+
+# -- the oracle check settles sizes m + 1 and up from the zero sets ------------
+
+
+def every_size_reference(spec, masks, cap, seed):
+    """The oracle check with nothing settled: every size m - 1..m + 2,
+    sampled and tested subset by subset."""
+    rng = random.Random(seed)
+    cols = agcode.column_sets(masks, spec.n)
+    out = []
+    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
+        for A in sample_subsets(spec.n, size, cap, rng):
+            by_rule = classify(spec, A).is_stopping
+            by_matrix = agcode.is_stopping_set_columns(cols, A)
+            if by_rule != by_matrix:
+                out.append({"subset": list(A), "classify": by_rule, "oracle": by_matrix})
+    return out
+
+
+def perturbed_masks(masks, n, rng):
+    """The clean supports; one bit of one flipped; one dropped; a row of
+    weight one added; no rows at all."""
+    r = rng.choice(sorted(masks))
+    return [
+        ("clean", masks),
+        ("flipped", masks - {r} | {r ^ (1 << rng.randrange(n))}),
+        ("dropped", masks - {r}),
+        ("weight-one", masks | {1}),
+        ("empty", frozenset()),
+    ]
+
+
+@pytest.mark.parametrize("field_text", ["5", "7", "11", "13", "5,2", "7,2"])
+def test_settled_check_equals_every_size_check(field_text):
+    rng = random.Random(f"settle-{field_text}")
+    field = FieldSpec(*(int(t) for t in field_text.split(",")))
+    for E in rng.sample(nonsingular_curves(field), 2 if field.k == 1 else 1):
+        for kind, D in evaluation_sets(E).items():
+            for m in range(1, min(5, len(D) - 1) + 1):
+                if field.q ** m > 3000:
+                    break
+                spec = EllipticCodeSpec(E, D, m)
+                clean = hstar_support_masks(spec)
+                assert stoptheory._zero_sets_settle(spec, clean, _sum_context(spec)), (E, kind, m)
+                for label, masks in perturbed_masks(clean, spec.n, rng):
+                    for cap in (5000, 20):
+                        seed = rng.randrange(1000)
+                        want = every_size_reference(spec, masks, cap, seed)
+                        got = oracle_agreement_check(spec, masks, cap, seed)
+                        assert got == want, (E, kind, m, label, cap)
+                        assert (label == "clean") <= (got == [])
+
+
+def test_zero_sets_settle_needs_both_conditions(ref_spec):
+    ctx = _sum_context(ref_spec)
+    n, m = ref_spec.n, ref_spec.m
+    full = (1 << n) - 1
+    clean = hstar_support_masks(ref_spec)
+    assert stoptheory._zero_sets_settle(ref_spec, clean, ctx)
+    # a row vanishing at m + 1 positions
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b1111}, ctx)
+    # one zero-sum m-set no longer the zero set of any row
+    zero_m = sorted(r for r in clean if (full ^ r).bit_count() == m)
+    assert len(zero_m) == len(GOLDEN_S3)
+    assert not stoptheory._zero_sets_settle(ref_spec, clean - {zero_m[0]}, ctx)
+    # a row vanishing on an m-set that does not sum to O
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b111}, ctx)
+
+
+def test_settled_check_samples_only_sizes_m_minus_one_and_m(ref_spec, monkeypatch):
+    sizes = []
+    real = stoptheory.sample_subsets
+
+    def recording(n, size, cap, rng):
+        sizes.append(size)
+        return real(n, size, cap, rng)
+
+    monkeypatch.setattr(stoptheory, "sample_subsets", recording)
+    m = ref_spec.m
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec), 20, 1) == []
+    assert sizes == [m - 1, m]
+    sizes.clear()
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1}, 20, 1)
+    assert sizes == [m - 1, m, m + 1, m + 2]
