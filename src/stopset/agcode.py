@@ -14,7 +14,6 @@ as a stopping set.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
@@ -25,7 +24,6 @@ from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldSpec
 
 ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
-ROW_LIMIT_ENV = "STOPSET_MAX_ROWS"
 STREAM_LIMIT = 2 ** 27  # q^m * n guard on the entries of the full H* stream
 SUBSET_LIMIT = 10 ** 6
 
@@ -33,32 +31,15 @@ ROLE_GENERATOR = "generator"
 ROLE_PARITY = "parity-check"
 
 
-def row_limit() -> int:
-    """Effective bound on streamed dual rows: ROW_LIMIT, or the
-    environment variable STOPSET_MAX_ROWS when it is set.
-
-    Raises ValueError when the variable is not a positive integer."""
-    env = os.environ.get(ROW_LIMIT_ENV)
-    if not env:
-        return ROW_LIMIT
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"{ROW_LIMIT_ENV} must be a positive integer, got {env!r}")
-    return limit
-
-
 def rows_fit(q: int, dim: int) -> bool:
     """True when the q^dim words of a dim-dimensional space fit the row
     bound; every route that streams such a space asks this first."""
-    return q ** dim <= row_limit()
+    return q ** dim <= ROW_LIMIT
 
 
 def _require_rows(q: int, dim: int, what: str) -> None:
     if not rows_fit(q, dim):
-        raise SizeLimitError(f"{q}^{dim} {what} exceed the bound {row_limit()}")
+        raise SizeLimitError(f"{q}^{dim} {what} exceed the bound {ROW_LIMIT}")
 
 
 def require_stream(q: int, m: int, n: int) -> None:
@@ -91,9 +72,6 @@ class EllipticCodeSpec:
     m: int
 
     def __post_init__(self) -> None:
-        n = len(self.D)
-        if not 0 < self.m < n:
-            raise ValueError(f"need 0 < m < n, got m={self.m}, n={n}")
         seen = set()
         for P in self.D:
             if P.is_infinity:
@@ -103,6 +81,9 @@ class EllipticCodeSpec:
             if P in seen:
                 raise ValueError(f"duplicate evaluation point {point_str(self.field, P)}")
             seen.add(P)
+        n = len(self.D)
+        if not 0 < self.m < n:
+            raise ValueError(f"need 0 < m < n, got m={self.m}, n={n}")
         # the generated hash would re-hash every point of D on each call,
         # which costs more than the per-spec cache lookups it keys
         object.__setattr__(self, "_hash", hash((self.curve, self.D, self.m)))
@@ -294,17 +275,10 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
 
 
 @lru_cache(maxsize=None)
-def _census(spec: EllipticCodeSpec) -> DualCensus:
-    return _stream_census(spec.field, generator_matrix(spec).entries, spec.n)
-
-
 def hstar_census(spec: EllipticCodeSpec) -> DualCensus:
-    """Support masks and dual weight counts of H*, from one cached pass.
-
-    The row bound is checked before the cache is read, so lowering
-    STOPSET_MAX_ROWS later still applies to a spec seen before."""
+    """Support masks and dual weight counts of H*, from one cached pass."""
     _require_rows(spec.field.q, spec.m, "dual rows")
-    return _census(spec)
+    return _stream_census(spec.field, generator_matrix(spec).entries, spec.n)
 
 
 def hstar_support_masks(spec: EllipticCodeSpec) -> frozenset[int]:
@@ -313,8 +287,8 @@ def hstar_support_masks(spec: EllipticCodeSpec) -> frozenset[int]:
 
 
 # callers read the pass's cache statistics under the masks' name
-hstar_support_masks.cache_info = _census.cache_info
-hstar_support_masks.cache_clear = _census.cache_clear
+hstar_support_masks.cache_info = hstar_census.cache_info
+hstar_support_masks.cache_clear = hstar_census.cache_clear
 
 
 # ---------------------------------------------------------------------------

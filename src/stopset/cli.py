@@ -313,21 +313,20 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     injection hook behind the verification smoke test.
 
     The entry starts at row `corrupt` mod #rows, column `corrupt` mod n,
-    in row-major order; a nonzero entry becomes 0 and a zero entry 1.
-    While that leaves the set of supports as it was, the next entry is
-    tried instead, so every `corrupt` injects a fault."""
-    rows = [list(r) for r in agcode.hstar_rows(spec)]
-    clean = agcode.support_masks(rows)
-    n, entries = spec.n, len(rows) * spec.n
-    start = corrupt % len(rows) * n + corrupt % n
+    in row-major order; a nonzero entry becomes 0 and a zero entry 1, which
+    flips that bit of the row's support.  The row's q - 1 >= 4 scalar
+    multiples keep its old support in the set, so the faulty supports are
+    the clean ones plus the flipped one.  While that adds nothing, the next
+    entry is tried instead, so every `corrupt` injects a fault."""
+    supports = [sum(1 << j for j, v in enumerate(row) if v) for row in agcode.hstar_rows(spec)]
+    clean = agcode.hstar_support_masks(spec)
+    n, entries = spec.n, len(supports) * spec.n
+    start = corrupt % len(supports) * n + corrupt % n
     for k in range(start, start + entries):
         row, col = divmod(k % entries, n)
-        old = rows[row][col]
-        rows[row][col] = 0 if old else 1
-        masks = agcode.support_masks(rows)
-        if masks != clean:
-            return masks
-        rows[row][col] = old
+        flipped = supports[row] ^ (1 << col)
+        if flipped and flipped not in clean:
+            return clean | {flipped}
     raise ValueError("no single-entry change alters the supports of H*")
 
 
@@ -454,7 +453,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        agcode.row_limit()  # a bad STOPSET_MAX_ROWS is a usage error up front
         return args.func(args)
     except VerificationFailure as vf:
         sys.stdout.write(json.dumps(vf.payload, indent=2) + "\n")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, curve, scalar_mul
+from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, agcode, curve, scalar_mul
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +13,18 @@ def f5():
 @pytest.fixture(scope="session")
 def f7():
     return FieldSpec(7)
+
+
+@pytest.fixture
+def set_row_limit(monkeypatch):
+    """Sets agcode.ROW_LIMIT for one test.  The H* census cache is emptied
+    too, since a spec cached under the real bound would skip the check."""
+
+    def set_limit(limit: int) -> None:
+        monkeypatch.setattr(agcode, "ROW_LIMIT", limit)
+        agcode.hstar_census.cache_clear()
+
+    return set_limit
 
 
 @pytest.fixture(scope="session")

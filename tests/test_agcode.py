@@ -32,13 +32,11 @@ from stopset import (
     weight_enumerator,
 )
 from stopset.agcode import (
-    ROW_LIMIT,
     hstar_census,
     is_stopping_set_masks,
     macwilliams_transform,
     matrix_rank,
     min_distance_dependent_columns,
-    row_limit,
     stopping_distribution_from_rows,
     subset_mask,
     support_masks,
@@ -159,13 +157,13 @@ def test_null_space_is_orthogonal_complement(ref_spec):
             assert dot == 0
 
 
-def test_min_distance_routes_agree(ref_spec, monkeypatch):
+def test_min_distance_routes_agree(ref_spec, set_row_limit):
     G = generator_matrix(ref_spec)
     assert min_distance_bruteforce(null_space(G)) == 3
     assert min_distance_dependent_columns(G) == 3
     assert residue_min_distance(ref_spec) == 3  # the weight enumerator
     # below q^m rows the enumerator is out of reach and the columns decide
-    monkeypatch.setenv("STOPSET_MAX_ROWS", str(5 ** 3 - 1))
+    set_row_limit(5 ** 3 - 1)
     with pytest.raises(SizeLimitError):
         weight_enumerator(ref_spec)
     assert residue_min_distance(ref_spec) == 3
@@ -178,10 +176,10 @@ def test_min_distance_on_rs_code():
     assert min_distance_dependent_columns(null_space(G)) == 5
 
 
-def test_min_distance_guards(f5, monkeypatch):
+def test_min_distance_guards(f5, monkeypatch, set_row_limit):
     one_row = CodeMatrix(f5, ((1, 1, 1, 1),), "generator")
     assert min_distance_bruteforce(one_row) == 4
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "2")
+    set_row_limit(2)
     with pytest.raises(SizeLimitError):
         min_distance_bruteforce(one_row)
     monkeypatch.setattr(agcode, "SUBSET_LIMIT", 1)
@@ -264,20 +262,6 @@ def test_distribution_validation():
     assert list(d) == [1, 0, 1]
 
 
-def test_row_limit_settings(monkeypatch):
-    monkeypatch.delenv("STOPSET_MAX_ROWS", raising=False)
-    assert row_limit() == ROW_LIMIT
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "1000")
-    assert row_limit() == 1000
-
-
-def test_row_limit_rejects_bad_values(monkeypatch):
-    for value in ("0", "-5", "abc", "1.5"):
-        monkeypatch.setenv("STOPSET_MAX_ROWS", value)
-        with pytest.raises(ValueError, match="STOPSET_MAX_ROWS"):
-            row_limit()
-
-
 ROW_BOUND_CALLS = [
     # (what streams q^dim words of the reference code, q^dim)
     pytest.param(lambda spec: list(dual_rows(spec)), 5 ** 3, id="dual_rows"),
@@ -292,32 +276,20 @@ ROW_BOUND_CALLS = [
 
 
 @pytest.mark.parametrize("call, words", ROW_BOUND_CALLS)
-def test_row_bound_edge(ref_spec, monkeypatch, call, words):
-    monkeypatch.setenv("STOPSET_MAX_ROWS", str(words))
+def test_row_bound_edge(ref_spec, set_row_limit, call, words):
+    set_row_limit(words)
     call(ref_spec)  # q^dim words fit a bound of exactly q^dim
-    monkeypatch.setenv("STOPSET_MAX_ROWS", str(words - 1))
+    set_row_limit(words - 1)
     with pytest.raises(SizeLimitError):
         call(ref_spec)
 
 
-def test_lowered_row_limit_applies_to_cached_spec(ref_spec, monkeypatch):
-    monkeypatch.delenv("STOPSET_MAX_ROWS", raising=False)
-    assert len(hstar_support_masks(ref_spec)) > 0
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
-    with pytest.raises(SizeLimitError):
-        hstar_support_masks(ref_spec)
-    with pytest.raises(SizeLimitError):
-        weight_enumerator(ref_spec)
-    assert hstar_support_masks.cache_info().misses >= 1
-
-
-def test_size_guards(ref_spec, monkeypatch):
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+def test_size_guards(ref_spec, set_row_limit):
+    set_row_limit(10)
     with pytest.raises(SizeLimitError):
         list(dual_rows(ref_spec))
     with pytest.raises(SizeLimitError):
         list(hstar_rows(ref_spec))
-    monkeypatch.delenv("STOPSET_MAX_ROWS")
     with pytest.raises(SizeLimitError):
         stopping_distribution_from_rows([], 21)
 
@@ -365,7 +337,7 @@ def test_weight_enumerator_reference(ref_spec):
     assert census.masks == hstar_support_masks(ref_spec)
 
 
-def test_tampered_dual_weights_raise(ref_spec, monkeypatch):
+def test_tampered_dual_weights_raise(ref_spec, set_row_limit):
     B = list(hstar_census(ref_spec).dual_weights)
     n, q, m = ref_spec.n, 5, 3
     assert macwilliams_transform(B, q, m) == weight_enumerator(ref_spec)
@@ -378,6 +350,6 @@ def test_tampered_dual_weights_raise(ref_spec, monkeypatch):
     moved[n] += q ** m
     with pytest.raises(IntegrityError):
         macwilliams_transform(moved, q, m)
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+    set_row_limit(10)
     with pytest.raises(SizeLimitError):
         weight_enumerator(ref_spec)

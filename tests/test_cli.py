@@ -218,37 +218,37 @@ def test_missing_required_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_size_bound_exit(capsys, monkeypatch):
-    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+def test_size_bound_exit(capsys, set_row_limit):
+    set_row_limit(10)
     code = main(["decode", *REF, "--m", "3", "--erased", "1"])
     captured = capsys.readouterr()
     assert code == 3
     assert "size bound" in captured.err
 
 
-BAD_ROW_LIMITS = ("0", "-5", "abc")
+def test_row_bound_ignores_the_environment(capsys, monkeypatch):
+    # the row bound is a fixed constant, which no environment variable lowers
+    monkeypatch.setenv("STOPSET_MAX_ROWS", "10")
+    argv, code, digest = GOLDEN_LADDER[0]
+    assert argv == ["report", *REF, "--m", "3"]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def _assert_bad_row_limit(capsys, monkeypatch, argv):
-    for value in BAD_ROW_LIMITS:
-        monkeypatch.setenv("STOPSET_MAX_ROWS", value)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2, value
-        assert "STOPSET_MAX_ROWS" in captured.err
-        assert captured.out == ""
-
-
-def test_bad_row_limit_report(capsys, monkeypatch):
-    _assert_bad_row_limit(capsys, monkeypatch, ["report", *REF, "--m", "3"])
-
-
-def test_bad_row_limit_verify(capsys, monkeypatch):
-    _assert_bad_row_limit(capsys, monkeypatch, ["verify", "--max-q", "5", "--max-m", "2"])
-
-
-def test_bad_row_limit_decode(capsys, monkeypatch):
-    _assert_bad_row_limit(capsys, monkeypatch, ["decode", *REF, "--m", "3", "--erased", "1"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "5", "--a", "1", "--b", "1", "--m", "3", "--D", "0,1;0,1"], "duplicate evaluation point 0,1"),
+        (["--p", "7", "--a", "0", "--b", "1", "--m", "2", "--D", "inf"], "evaluation points must be affine"),
+    ],
+    ids=["duplicate", "infinity"],
+)
+def test_bad_points_named_before_m(capsys, argv, message):
+    # D with too few points for m is still named by its faulty point
+    assert main(["report", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

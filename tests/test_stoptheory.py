@@ -266,9 +266,9 @@ def test_report(ref_spec):
     assert (rep.group.m1, rep.group.m2) == (1, 9)
 
 
-def test_report_skips_what_is_too_large(ref_spec, monkeypatch):
+def test_report_skips_what_is_too_large(ref_spec, monkeypatch, set_row_limit):
     monkeypatch.setattr(stoptheory, "SET_LIMIT", 5)  # #S(3) = 6 sets
-    monkeypatch.setenv("STOPSET_MAX_ROWS", str(5 ** 3 - 1))
+    set_row_limit(5 ** 3 - 1)
     skipped = build_report(ref_spec)
     assert skipped.S_m is None
     assert skipped.S_m_count == 6
