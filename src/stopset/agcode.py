@@ -238,12 +238,14 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
     weight's count.
 
     The classes are g = rows[-1] and acc + c*g for every normalized
-    combination acc of the other rows and every c in F_q.  Along such a
-    pencil a coordinate j with g_j != 0 vanishes at c = -acc_j / g_j only,
-    and one with g_j = 0 keeps acc_j.  So the coordinates sharing a ratio
-    acc_j / g_j vanish together, at one scalar each ratio, and a pencil
-    costs O(n) field operations, one mask per distinct ratio, and one
-    shared "generic" mask for the scalars at which nothing vanishes."""
+    combination acc of the other rows and every c in F_q.  Scaling each
+    column j with g_j != 0 by 1 / g_j first changes no support and no
+    weight, and makes g_j = 1 there.  Along a pencil such a coordinate then
+    vanishes at c = -acc_j only, and one with g_j = 0 keeps acc_j.  So the
+    coordinates sharing a value acc_j vanish together, at one scalar each
+    value, and a pencil costs O(n) dictionary steps, one mask per distinct
+    value, and one shared "generic" mask for the scalars at which nothing
+    vanishes."""
     q = spec.q
     bits = [1 << j for j in range(n)]
     masks = set()
@@ -253,12 +255,12 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
         on_g = [bool(v) for v in g]
         g_bits = list(compress(bits, on_g))
         g_mask = sum(g_bits)
-        g_inv = [spec.inv_val(v) for v in compress(g, on_g)]
-        mul = spec.mul_val
-        for acc in _combination_stream(spec, rows[:-1], normalized=True):
-            vanish: dict[int, int] = {}  # ratio -> the coordinates with it
-            for bit, ratio in zip(g_bits, map(mul, compress(acc, on_g), g_inv)):
-                vanish[ratio] = vanish.get(ratio, 0) | bit
+        scale = [spec.inv_val(v) if v else 1 for v in g]
+        scaled = [tuple(map(spec.mul_val, row, scale)) for row in rows[:-1]]
+        for acc in _combination_stream(spec, scaled, normalized=True):
+            vanish: dict[int, int] = {}  # acc_j -> the coordinates with it
+            for bit, value in zip(g_bits, compress(acc, on_g)):
+                vanish[value] = vanish.get(value, 0) | bit
             generic = sum(compress(bits, acc)) | g_mask
             for zeros in vanish.values():
                 mask = generic ^ zeros

@@ -261,6 +261,10 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     m1 = N // m2
     if m2 % m1:
         raise IntegrityError(f"invariant factors ({m1}, {m2}) fail m1 | m2")
+    # the Weil pairing puts the roots of unity of order m1 in F_q
+    # (Silverman, The Arithmetic of Elliptic Curves, III.8.1.1)
+    if (E.field.q - 1) % m1:
+        raise IntegrityError(f"invariant factor m1 = {m1} does not divide q - 1 = {E.field.q - 1}")
     g2 = next(P for P in pts if orders[P] == m2)
 
     def build_map(g1: Point) -> dict[Point, tuple[int, int]] | None:

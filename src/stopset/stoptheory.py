@@ -327,51 +327,65 @@ def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tupl
 
 def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int], ctx: _SumContext) -> bool:
     """Whether the zero sets of the rows with supports `masks` prove the
-    casework right on every subset of m + 1 or more positions.  They do
-    when (i) no row vanishes at more than m positions, and (ii) the rows
-    vanishing at exactly m positions vanish on exactly the m-subsets that
-    sum to O.  Given (i), a set of m + 2 or more positions meets every row
-    at least twice, and an (m + 1)-set meets some row exactly once iff it
-    holds the zero set of a row that vanishes at m positions; given (ii),
-    iff it has an interior zero.
+    casework right on every subset of every size.  They do when (i) no row
+    vanishes at more than m positions, and (ii) the zero sets of the rows
+    vanishing at m - 1 or m positions are exactly `found`.  A mask outside
+    the n columns is no support and never settles.
 
-    The zero-sum m-subsets come from completing each (m - 1)-subset T by
-    the point of D that is minus T's sum, one lookup per T: `complete`
-    maps each packed zero sum less P_j to P_j's bit.  A completion inside
-    T leaves m - 1 bits and is dropped."""
+    `found` completes each (m - 1)-subset B by R = -sum(B): it holds
+    B + {R} when R lies in D \\ B, else B alone.  By Riemann-Roch a nonzero
+    f in L(mO) vanishing on B has the divisor B + R - mO, so on a sound H*
+    these are the zero sets of such rows.  Given (i) and (ii):
+      - m + 2 or more positions meet every row at least twice;
+      - m + 1 positions meet a row exactly once iff they hold a row's
+        m-point zero set, a zero-sum m-set, i.e. iff they have an interior
+        zero;
+      - an m-set A with sum O and a in A: a row vanishing on B = A \\ {a}
+        has the zero set B + {a}, the one zero-sum m-set holding B, or B,
+        which `found` lacks since R = a; so no row meets A only at a;
+      - an m-set A with a nonzero sum and a in A: the row whose zero set
+        `found` holds for B = A \\ {a} misses a, so it meets A only at a;
+      - an (m - 1)-set A and a in A: some b outside A has b != -sum(A), as
+        n >= m + 1, and the row the last case gives for A + {b} and a meets
+        A only at a.
+
+    `complete` maps each packed zero sum less P_j to P_j's bit, so each B
+    costs one lookup; a completion inside B or outside D leaves B."""
     n, m = spec.n, spec.m
+    full = (1 << n) - 1
+    if min(masks, default=0) < 0 or max(masks, default=0) > full:
+        return False
     weights = list(map(int.bit_count, masks))
     if min(weights, default=n) < n - m:
         return False
-    full = (1 << n) - 1
-    zero_sets = {full ^ r for r, w in zip(masks, weights) if w == n - m}
+    zero_sets = {full ^ r for r, w in zip(masks, weights) if w <= n - m + 1}
     packed, bits = ctx.packed[1:], [1 << j for j in range(n)]
     complete = {z - p: bit for p, bit in zip(packed, bits) for z in ctx.zeros}
     sums = map(sum, combinations(packed, m - 1))
     subsets = map(sum, combinations(bits, m - 1))
     found = set(map(operator.or_, subsets, map(complete.get, sums, repeat(0))))
-    return zero_sets == {A for A in found if A.bit_count() == m}
+    return zero_sets == found
 
 
 def oracle_agreement_check(
     spec: EllipticCodeSpec, masks: Collection[int], sample_cap: int = 5000, seed: int = 0
 ) -> list[dict]:
     """Compare the size casework that classify applies against the
-    parity-check oracle given by the H* support `masks` on subsets of sizes
-    m-1..m+2 (all of them, or `sample_cap` sampled per size); returns one
-    record per disagreement.  When `_zero_sets_settle` proves the two
-    agree on every subset of size m + 1 and up, only sizes m - 1 and m are
-    checked: those sizes are drawn first, so their draws are the same
-    either way.
+    parity-check oracle given by the H* support `masks`; returns one record
+    per disagreement.  When `_zero_sets_settle` proves the two agree on
+    every subset, that is the whole check: no subset is drawn or tested.
+    Otherwise subsets of sizes m-1..m+2 are tested (all of them, or
+    `sample_cap` sampled per size, in that order).
 
     The masks are transposed once into column bitsets, so each subset
     costs |A| big-int operations instead of a scan over every row."""
+    ctx = _sum_context(spec)
+    if _zero_sets_settle(spec, masks, ctx):
+        return []
     rng = random.Random(seed)
     cols = agcode.column_sets(masks, spec.n)
-    ctx = _sum_context(spec)
-    top = spec.m if _zero_sets_settle(spec, masks, ctx) else spec.m + 2
     mismatches = []
-    for size in range(spec.m - 1, min(top, spec.n) + 1):
+    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
             by_rule = _rule(spec, A, ctx)[0] in _STOPPING
             by_matrix = agcode.is_stopping_set_columns(cols, A)
@@ -415,7 +429,9 @@ def build_report(spec: EllipticCodeSpec, sample_cap: int = 2000, seed: int = 0) 
     """Assemble the census: distribution, #S(m), the sets themselves when
     n <= ENUM_MAX_N, #S(m) <= SET_LIMIT and the m-subsets fit
     agcode.subsets_fit, and (when the dual codebook is streamable) the
-    oracle's disagreements."""
+    oracle's disagreements: none, with no subset drawn, when the zero sets
+    of H* settle the casework, else those of `sample_cap` subsets drawn
+    per size."""
     dist = distribution(spec)
     sets = None
     if dist[spec.m] <= SET_LIMIT and spec.n <= ENUM_MAX_N and agcode.subsets_fit(spec.n, spec.m):

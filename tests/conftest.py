@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, agcode, curve, scalar_mul
+from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, agcode, classify, curve, scalar_mul
+from stopset.stoptheory import sample_subsets
 
 
 @pytest.fixture(scope="session")
@@ -52,4 +55,19 @@ def nonsingular_curves(field):
                 out.append(EllipticCurve(field, av, bv))
             except ValueError:
                 continue
+    return out
+
+
+def every_size_reference(spec, masks, cap, seed):
+    """The oracle check with nothing settled: every size m - 1..m + 2,
+    sampled and tested subset by subset."""
+    rng = random.Random(seed)
+    cols = agcode.column_sets(masks, spec.n)
+    out = []
+    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
+        for A in sample_subsets(spec.n, size, cap, rng):
+            by_rule = classify(spec, A).is_stopping
+            by_matrix = agcode.is_stopping_set_columns(cols, A)
+            if by_rule != by_matrix:
+                out.append({"subset": list(A), "classify": by_rule, "oracle": by_matrix})
     return out

@@ -64,7 +64,7 @@ from stopset.stoptheory import (
     oracle_agreement_check,
 )
 
-from conftest import nonsingular_curves
+from conftest import every_size_reference, nonsingular_curves
 
 REFERENCE_S3 = [
     (1, 2, 6), (1, 3, 5), (2, 3, 4), (3, 7, 8), (4, 6, 8), (5, 6, 7),
@@ -244,7 +244,12 @@ def test_criterion_04(sweep_specs):
     t0 = time.monotonic()
     assert len(sweep_specs) > 100
     for spec in sweep_specs:
-        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), sample_cap=5000, seed=4)
+        masks = hstar_support_masks(spec)
+        mismatches = oracle_agreement_check(spec, masks, sample_cap=5000, seed=4)
+        assert mismatches == [], f"{spec.curve}: {mismatches[:3]}"
+        # the check above is a proof on clean masks; this one compares
+        # subset by subset
+        mismatches = every_size_reference(spec, masks, 5000, 4)
         assert mismatches == [], f"{spec.curve}: {mismatches[:3]}"
     _done(4, f"classification = matrix oracle on {len(sweep_specs)} codes", t0, 600.0)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from stopset import (
     EllipticCurve,
     FieldMismatchError,
     FieldSpec,
+    IntegrityError,
     Point,
     add,
     curve,
@@ -119,6 +121,22 @@ def test_group_structure_full_two_torsion(f5):
     assert len(pts) == 4
     gs = group_structure(E)
     assert (gs.m1, gs.m2) == (2, 2)
+
+
+def test_group_structure_checks_the_weil_pairing(ref_curve, monkeypatch):
+    # every affine point of order 3 gives m1 = m2 = 3 over F_5 (N = 9):
+    # m1 | m2 holds, but 3 does not divide q - 1 = 4
+    module = importlib.import_module("stopset.curve")
+    pts = rational_points(ref_curve)
+    assert len(pts) == 9
+    fake = {P: 1 if P.is_infinity else 3 for P in pts}
+    monkeypatch.setattr(module, "_orders", lambda E, pts: fake)
+    group_structure.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match="does not divide q - 1 = 4"):
+            group_structure(ref_curve)
+    finally:
+        group_structure.cache_clear()
 
 
 def test_coordinate_map_is_isomorphism(f5, f7):

@@ -45,7 +45,7 @@ from stopset.stoptheory import (
     sample_subsets,
 )
 
-from conftest import nonsingular_curves
+from conftest import every_size_reference, nonsingular_curves
 
 GOLDEN_S3 = [
     (1, 2, 6), (1, 3, 5), (2, 3, 4), (3, 7, 8), (4, 6, 8), (5, 6, 7),
@@ -361,35 +361,34 @@ def test_subgroup_test_rejects_off_curve_points(ref_spec, f5):
         is_subgroup_minus_O(ref_spec.curve, ref_spec.D + (stray,))
 
 
-# -- the oracle check settles sizes m + 1 and up from the zero sets ------------
+# -- the oracle check settles every size from the zero sets -------------------
 
 
-def every_size_reference(spec, masks, cap, seed):
-    """The oracle check with nothing settled: every size m - 1..m + 2,
-    sampled and tested subset by subset."""
-    rng = random.Random(seed)
-    cols = agcode.column_sets(masks, spec.n)
-    out = []
-    for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
-        for A in sample_subsets(spec.n, size, cap, rng):
-            by_rule = classify(spec, A).is_stopping
-            by_matrix = agcode.is_stopping_set_columns(cols, A)
-            if by_rule != by_matrix:
-                out.append({"subset": list(A), "classify": by_rule, "oracle": by_matrix})
-    return out
-
-
-def perturbed_masks(masks, n, rng):
+def perturbed_masks(masks, n, m, rng):
     """The clean supports; one bit of one flipped; one dropped; a row of
-    weight one added; no rows at all."""
+    weight one added; no rows at all.  Where such rows exist, also: a row
+    with m - 1 zeros dropped, or one bit of it flipped; and a spurious row
+    whose m - 1 zeros complete into D, a zero-sum m-set less one point."""
+    full = (1 << n) - 1
     r = rng.choice(sorted(masks))
-    return [
+    out = [
         ("clean", masks),
         ("flipped", masks - {r} | {r ^ (1 << rng.randrange(n))}),
         ("dropped", masks - {r}),
         ("weight-one", masks | {1}),
         ("empty", frozenset()),
     ]
+    short = sorted(s for s in masks if (full ^ s).bit_count() == m - 1)
+    if short:
+        s = rng.choice(short)
+        out.append(("dropped-short", masks - {s}))
+        out.append(("flipped-short", masks - {s} | {s ^ (1 << rng.randrange(n))}))
+    zero_sum = sorted(z for z in masks if (full ^ z).bit_count() == m)
+    if zero_sum:
+        z = rng.choice(zero_sum)
+        zeros = [1 << j for j in range(n) if not z >> j & 1]
+        out.append(("spurious-short", masks | {z | rng.choice(zeros)}))
+    return out
 
 
 @pytest.mark.parametrize("field_text", ["5", "7", "11", "13", "5,2", "7,2"])
@@ -402,9 +401,12 @@ def test_settled_check_equals_every_size_check(field_text):
                 if field.q ** m > 3000:
                     break
                 spec = EllipticCodeSpec(E, D, m)
+                ctx = _sum_context(spec)
                 clean = hstar_support_masks(spec)
-                assert stoptheory._zero_sets_settle(spec, clean, _sum_context(spec)), (E, kind, m)
-                for label, masks in perturbed_masks(clean, spec.n, rng):
+                assert stoptheory._zero_sets_settle(spec, clean, ctx), (E, kind, m)
+                for label, masks in perturbed_masks(clean, spec.n, m, rng):
+                    if label.endswith("-short"):
+                        assert not stoptheory._zero_sets_settle(spec, masks, ctx), (E, kind, m, label)
                     for cap in (5000, 20):
                         seed = rng.randrange(1000)
                         want = every_size_reference(spec, masks, cap, seed)
@@ -427,9 +429,22 @@ def test_zero_sets_settle_needs_both_conditions(ref_spec):
     assert not stoptheory._zero_sets_settle(ref_spec, clean - {zero_m[0]}, ctx)
     # a row vanishing on an m-set that does not sum to O
     assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b111}, ctx)
+    # one row with m - 1 zeros gone: position i carries [i]P in Z/9, and
+    # {1, 8} completes to O, outside D
+    assert full ^ 0b10000001 in clean
+    assert not stoptheory._zero_sets_settle(ref_spec, clean - {full ^ 0b10000001}, ctx)
+    # a spurious row vanishing on {1, 2}, which completes to 6 in D: the
+    # zero set of its row is {1, 2, 6}
+    assert full ^ 0b00100011 in clean and full ^ 0b11 not in clean
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b11}, ctx)
+    # masks outside the n columns never settle, so the column transpose
+    # refuses them
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full + 1}, ctx)
+    with pytest.raises(ValueError):
+        oracle_agreement_check(ref_spec, clean | {full + 1})
 
 
-def test_settled_check_samples_only_sizes_m_minus_one_and_m(ref_spec, monkeypatch):
+def test_settled_check_samples_no_subsets(ref_spec, monkeypatch):
     sizes = []
     real = stoptheory.sample_subsets
 
@@ -440,7 +455,6 @@ def test_settled_check_samples_only_sizes_m_minus_one_and_m(ref_spec, monkeypatc
     monkeypatch.setattr(stoptheory, "sample_subsets", recording)
     m = ref_spec.m
     assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec), 20, 1) == []
-    assert sizes == [m - 1, m]
-    sizes.clear()
+    assert sizes == []
     assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1}, 20, 1)
     assert sizes == [m - 1, m, m + 1, m + 2]
