@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .curve import EllipticCurve, Point, point_str, rational_points
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
@@ -369,40 +369,13 @@ def support_masks(rows: Iterable[Sequence[int]]) -> frozenset[int]:
 
 def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
     """True when no row, given by its support mask, meets the subset
-    s_mask in exactly one position: the definition of a stopping set.
-
-    The reference test, one scan over the rows per subset; the census
-    check reads the same rows through `column_sets`."""
+    s_mask in exactly one position: the definition of a stopping set, one
+    scan over the rows per subset.  The oracle check tests each subset it
+    draws with it."""
     for r in masks:
         if (r & s_mask).bit_count() == 1:
             return False
     return True
-
-
-def column_sets(masks: Collection[int], n: int) -> list[int]:
-    """The support masks transposed: one int per column j (0-based) whose
-    bit k is set when the k-th mask holds column j.  Raises ValueError for
-    a mask with a bit outside [0, n)."""
-    if not masks:
-        return [0] * n
-    if min(masks) < 0 or max(masks) >> n:
-        raise ValueError(f"a support mask has a bit outside the {n} columns")
-    # row k is the k-th block from the right, so the stepped slice of
-    # column j reads row 0 last, as its lowest bit
-    text = "".join([format(r, f"0{n}b") for r in reversed(list(masks))])
-    return [int(text[n - 1 - j :: n], 2) for j in range(n)]
-
-
-def is_stopping_set_columns(cols: Sequence[int], A: Iterable[int]) -> bool:
-    """The stopping test on `column_sets` output for the 1-based columns
-    A: `once` collects the rows meeting A, `twice` those meeting it at
-    least twice, and A is stopping iff no row meets it exactly once."""
-    once = twice = 0
-    for i in A:
-        c = cols[i - 1]
-        twice |= once & c
-        once |= c
-    return once == twice
 
 
 def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distribution":

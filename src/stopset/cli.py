@@ -275,12 +275,12 @@ def _cmd_decode(args) -> int:
 # matrix oracle and the counting formula against enumeration
 
 
-def _verify_instance(spec, samples: int, seed: int, corrupt: int | None, report: dict) -> list[dict]:
+def _verify_instance(spec, seed: int, corrupt: int | None, report: dict) -> list[dict]:
     if corrupt is not None:
         report["corrupted"] = True
-        return stoptheory.oracle_agreement_check(spec, _corrupted_masks(spec, corrupt), samples, seed)
+        return stoptheory.oracle_agreement_check(spec, _corrupted_masks(spec, corrupt), seed=seed)
     # the census `report` prints, then the routes it does not take
-    rep = stoptheory.build_report(spec, samples, seed)
+    rep = stoptheory.build_report(spec, seed)
     mismatches = list(rep.oracle_mismatches)
     s_m = rep.S_m if rep.S_m is not None else stoptheory.enumerate_S_m(spec)
     if len(s_m) != rep.S_m_count:
@@ -360,13 +360,11 @@ def _verify_specs(primes: list[int], max_m: int):
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     instances = 0
     mismatches = []
     report: dict = {"schema": 1, "max_q": args.max_q, "max_m": args.max_m}
     for spec in _verify_specs(_verify_primes(args.max_q), args.max_m):
-        found = _verify_instance(spec, args.samples, args.seed, args.corrupt, report)
+        found = _verify_instance(spec, args.seed, args.corrupt, report)
         instances += 1
         for rec in found:
             rec.setdefault(
@@ -377,6 +375,10 @@ def _cmd_verify(args) -> int:
         mismatches += found
         if args.corrupt is not None:
             break  # fault injection targets the first instance only
+    if args.corrupt is not None and not instances:
+        raise ValueError(
+            f"the sweep with --max-q {args.max_q} and --max-m {args.max_m} is empty, so --corrupt has no instance to alter"
+        )
     report["instances"] = instances
     report["mismatch_count"] = len(mismatches)
     report["mismatches"] = mismatches[:50]
@@ -425,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="sweep small curves: classification vs oracle vs formulas")
     sp.add_argument("--max-q", type=int, default=7)
     sp.add_argument("--max-m", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--corrupt", type=int, default=None, help="fault injection: alter one dual entry")
     sp.add_argument("--out")

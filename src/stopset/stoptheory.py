@@ -106,19 +106,16 @@ _SUM_NONZERO = (Verdict.NOT_STOPPING_SUM_NONZERO, None)
 _NO_INTERIOR_ZERO = (Verdict.STOPPING_NO_INTERIOR_ZERO, None)
 
 
-def _rule(
-    spec: EllipticCodeSpec, A: Sequence[int], ctx: _SumContext | None = None
-) -> tuple[Verdict, int | None]:
+def _rule(spec: EllipticCodeSpec, A: Sequence[int]) -> tuple[Verdict, int | None]:
     """The size casework on the distinct positions A (1-based), through the
-    packed coordinates of _sum_context (or `ctx`, that context resolved
-    once by a caller that tests many subsets): the verdict, and the
-    witness i with sum(A \\ {i}) = O for the interior-zero verdict."""
+    packed coordinates of _sum_context: the verdict, and the witness i with
+    sum(A \\ {i}) = O for the interior-zero verdict."""
     size, m = len(A), spec.m
     if size == 0 or size >= m + 2:
         return _BY_SIZE
     if size < m:
         return _NOT_BY_SIZE
-    _, _, packed, zeros = ctx or _sum_context(spec)
+    _, _, packed, zeros = _sum_context(spec)
     total = sum([packed[i] for i in A])
     if size == m:
         return _SUM_ZERO if total in zeros else _SUM_NONZERO
@@ -325,12 +322,12 @@ def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tupl
     return list(zip(*columns))
 
 
-def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int], ctx: _SumContext) -> bool:
-    """Whether the zero sets of the rows with supports `masks` prove the
-    casework right on every subset of every size.  They do when (i) no row
-    vanishes at more than m positions, and (ii) the zero sets of the rows
-    vanishing at m - 1 or m positions are exactly `found`.  A mask outside
-    the n columns is no support and never settles.
+def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int]) -> bool:
+    """Whether the zero sets of the rows with supports `masks`, each inside
+    the n columns, prove the casework right on every subset of every size.
+    They do when (i) no row vanishes at more than m positions, and (ii) the
+    zero sets of the rows vanishing at m - 1 or m positions are exactly
+    `found`.
 
     `found` completes each (m - 1)-subset B by R = -sum(B): it holds
     B + {R} when R lies in D \\ B, else B alone.  By Riemann-Roch a nonzero
@@ -353,12 +350,11 @@ def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int], ctx: _SumC
     costs one lookup; a completion inside B or outside D leaves B."""
     n, m = spec.n, spec.m
     full = (1 << n) - 1
-    if min(masks, default=0) < 0 or max(masks, default=0) > full:
-        return False
     weights = list(map(int.bit_count, masks))
     if min(weights, default=n) < n - m:
         return False
     zero_sets = {full ^ r for r, w in zip(masks, weights) if w <= n - m + 1}
+    ctx = _sum_context(spec)
     packed, bits = ctx.packed[1:], [1 << j for j in range(n)]
     complete = {z - p: bit for p, bit in zip(packed, bits) for z in ctx.zeros}
     sums = map(sum, combinations(packed, m - 1))
@@ -372,23 +368,22 @@ def oracle_agreement_check(
 ) -> list[dict]:
     """Compare the size casework that classify applies against the
     parity-check oracle given by the H* support `masks`; returns one record
-    per disagreement.  When `_zero_sets_settle` proves the two agree on
-    every subset, that is the whole check: no subset is drawn or tested.
+    per disagreement.  Raises ValueError for a mask with a bit outside the
+    n columns.  When `_zero_sets_settle` proves the two agree on every
+    subset, that is the whole check: no subset is drawn or tested.
     Otherwise subsets of sizes m-1..m+2 are tested (all of them, or
-    `sample_cap` sampled per size, in that order).
-
-    The masks are transposed once into column bitsets, so each subset
-    costs |A| big-int operations instead of a scan over every row."""
-    ctx = _sum_context(spec)
-    if _zero_sets_settle(spec, masks, ctx):
+    `sample_cap` sampled per size, in that order), each by the definition:
+    one `is_stopping_set_masks` scan over the rows."""
+    if min(masks, default=0) < 0 or max(masks, default=0) >> spec.n:
+        raise ValueError(f"a support mask has a bit outside the {spec.n} columns")
+    if _zero_sets_settle(spec, masks):
         return []
     rng = random.Random(seed)
-    cols = agcode.column_sets(masks, spec.n)
     mismatches = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, sample_cap, rng):
-            by_rule = _rule(spec, A, ctx)[0] in _STOPPING
-            by_matrix = agcode.is_stopping_set_columns(cols, A)
+            by_rule = classify(spec, A).is_stopping
+            by_matrix = agcode.is_stopping_set_masks(masks, agcode.subset_mask(A))
             if by_rule != by_matrix:
                 mismatches.append(
                     {"subset": list(A), "classify": by_rule, "oracle": by_matrix}
@@ -425,20 +420,20 @@ class StoppingReport:
         return None if self.oracle_mismatches is None else not self.oracle_mismatches
 
 
-def build_report(spec: EllipticCodeSpec, sample_cap: int = 2000, seed: int = 0) -> StoppingReport:
+def build_report(spec: EllipticCodeSpec, seed: int = 0) -> StoppingReport:
     """Assemble the census: distribution, #S(m), the sets themselves when
     n <= ENUM_MAX_N, #S(m) <= SET_LIMIT and the m-subsets fit
     agcode.subsets_fit, and (when the dual codebook is streamable) the
     oracle's disagreements: none, with no subset drawn, when the zero sets
-    of H* settle the casework, else those of `sample_cap` subsets drawn
-    per size."""
+    of H* settle the casework, as they do on every sound H*; else those of
+    the subsets oracle_agreement_check draws, seeded by `seed`."""
     dist = distribution(spec)
     sets = None
     if dist[spec.m] <= SET_LIMIT and spec.n <= ENUM_MAX_N and agcode.subsets_fit(spec.n, spec.m):
         sets = enumerate_S_m(spec)
     mismatches = None
     if agcode.rows_fit(spec.field.q, spec.m):
-        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), sample_cap, seed)
+        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), seed=seed)
     return StoppingReport(
         spec=spec,
         group=group_structure(spec.curve),

@@ -62,12 +62,11 @@ def every_size_reference(spec, masks, cap, seed):
     """The oracle check with nothing settled: every size m - 1..m + 2,
     sampled and tested subset by subset."""
     rng = random.Random(seed)
-    cols = agcode.column_sets(masks, spec.n)
     out = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
         for A in sample_subsets(spec.n, size, cap, rng):
             by_rule = classify(spec, A).is_stopping
-            by_matrix = agcode.is_stopping_set_columns(cols, A)
+            by_matrix = agcode.is_stopping_set_masks(masks, agcode.subset_mask(A))
             if by_rule != by_matrix:
                 out.append({"subset": list(A), "classify": by_rule, "oracle": by_matrix})
     return out

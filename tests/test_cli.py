@@ -145,7 +145,7 @@ def test_output_is_deterministic(capsys):
 
 
 def test_verify_clean_sweep(capsys):
-    doc = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "2", "--samples", "300"])
+    doc = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "2"])
     assert doc["instances"] > 0
     assert doc["mismatch_count"] == 0
     assert doc["mismatches"] == []
@@ -157,14 +157,14 @@ def test_verify_instance_lists_S_m_past_the_report_bound():
     for m in (2, 3):
         spec = spec_all_points(E, m)
         assert spec.n == 25
-        assert _verify_instance(spec, 300, 0, None, {}) == []
+        assert _verify_instance(spec, 0, None, {}) == []
 
 
 def test_verify_clamps_m_below_n(capsys):
     t0 = time.monotonic()
-    huge = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "1000000000", "--samples", "50"])
+    huge = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "1000000000"])
     assert time.monotonic() - t0 < 2.0
-    small = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "10", "--samples", "50"])
+    small = run_json(capsys, ["verify", "--max-q", "5", "--max-m", "10"])
     assert (huge["instances"], huge["mismatch_count"]) == (small["instances"], small["mismatch_count"])
 
 
@@ -189,12 +189,15 @@ def test_every_corrupt_value_injects_a_fault(capsys):
         assert doc["corrupted"] is True and doc["mismatch_count"] >= 1, corrupt
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_verify_samples_below_one_exit_2(capsys, samples):
-    assert main(["verify", "--max-q", "5", "--max-m", "2", "--samples", samples]) == 2
+@pytest.mark.parametrize(
+    "argv", [["--max-q", "5", "--max-m", "1"], ["--max-q", "4"]], ids=["m-below-2", "no-prime"]
+)
+def test_verify_corrupt_on_an_empty_sweep_exit_2(capsys, argv):
+    # with no instance to alter, a fault cannot be injected
+    assert main(["verify", *argv, "--corrupt", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--samples" in captured.err
+    assert "sweep" in captured.err and "empty" in captured.err
 
 
 def test_usage_errors(capsys):
@@ -278,7 +281,7 @@ def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
         return tuple(A)
 
     monkeypatch.setattr(agcode, "weight_enumerator", tampered)
-    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    code = main(["verify", "--max-q", "5", "--max-m", "2"])
     captured = capsys.readouterr()
     assert code == 1
     doc = json.loads(captured.out)
@@ -294,7 +297,7 @@ def test_verify_broken_enumerator_is_a_mismatch(capsys, monkeypatch):
         raise IntegrityError("A_0 = 2, not 1")
 
     monkeypatch.setattr(agcode, "weight_enumerator", broken)
-    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    code = main(["verify", "--max-q", "5", "--max-m", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["mismatch_count"] == doc["instances"]
@@ -355,11 +358,11 @@ GOLDEN_LADDER = [
      "5d24bf3c92eab72b9ccfb5a978a779fb8e49825bb9db93355574356dcb5d8aa8"),
     (["gen", "--field", "37,2", "--a", "1", "--b", "3", "--m", "3"], 0,
      "fa4355307ace1fad5ebd9d558174807a771030c63f073316d30350a7d5d90c96"),
-    # corrupted supports settle nothing, so the oracle samples sizes
-    # m - 1..m + 2 as it does without the zero-set proof
-    (["verify", "--max-q", "7", "--max-m", "3", "--corrupt", "11", "--samples", "40"], 1,
+    # corrupted supports settle nothing, so the oracle tests sizes
+    # m - 1..m + 2 subset by subset, as it does without the zero-set proof
+    (["verify", "--max-q", "7", "--max-m", "3", "--corrupt", "11"], 1,
      "25768679a7134542d8ac7d5c33e1f604184a3c67b1f2fb5a3413b98da9a6bd1a"),
-    # n = 46 > 24, with every size past the 2,000-subset cap
+    # n = 46 > 24, with every size m - 1..m + 2 past the 5,000-subset cap
     (["report", "--p", "43", "--a", "1", "--b", "3", "--m", "4"], 0,
      "2fbf26a15f856e246b1868951148405d53b2daaa9488c086a613585d32553685"),
 ]
@@ -376,7 +379,7 @@ def test_golden_stdout(capsys, argv, code, digest):
 def test_verify_corrupt_goes_through_the_oracle_check(capsys, monkeypatch):
     from stopset import stoptheory
 
-    monkeypatch.setattr(stoptheory, "oracle_agreement_check", lambda spec, masks, cap, seed: [])
+    monkeypatch.setattr(stoptheory, "oracle_agreement_check", lambda spec, masks, seed: [])
     assert main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["corrupted"] is True
 
@@ -415,7 +418,7 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
     real_list, real_formula = stoptheory.enumerate_S_m, cli.count_S_m
     monkeypatch.setattr(stoptheory, "enumerate_S_m", lambda spec: real_list(spec)[1:])
     monkeypatch.setattr(cli, "count_S_m", lambda G, m: real_formula(G, m) + 1)
-    code = main(["verify", "--max-q", "5", "--max-m", "2", "--samples", "50"])
+    code = main(["verify", "--max-q", "5", "--max-m", "2"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     listing = [rec for rec in doc["mismatches"] if rec["check"] == "s_m-listing"]

@@ -1,5 +1,5 @@
-"""The H* census by pencils and the bit-sliced stopping test, each against
-the definitional route it replaces in production."""
+"""The H* census by pencils against the per-row reference it replaces in
+production."""
 
 from __future__ import annotations
 
@@ -26,11 +26,7 @@ from stopset.agcode import (
     _combination_stream,
     _rref,
     _stream_census,
-    column_sets,
     hstar_census,
-    is_stopping_set_columns,
-    is_stopping_set_masks,
-    subset_mask,
     support_masks,
 )
 from stopset.ffield import parse_field
@@ -160,67 +156,3 @@ def test_weight_enumerator_of_a_one_row_matrix():
     # with x = y = 0, 20 with x, y nonzero and z any
     M = CodeMatrix(field, ((1, 2, 0),), ROLE_GENERATOR)
     assert weight_enumerator(M) == (1, 4, 4, 16)
-
-
-# ---------------------------------------------------------------------------
-# the bit-sliced stopping test
-
-
-def random_family(rng, n, size, density):
-    return frozenset(
-        sum(1 << j for j in range(n) if rng.random() < density) for _ in range(size)
-    )
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 13, 40, 63, 64, 65, 70])
-def test_columns_agree_with_the_mask_scan(n):
-    rng = random.Random(n)
-    outcomes = set()
-    for size, density in ((1, 0.5), (7, 0.2), (60, 0.5), (200, 0.9)):
-        masks = random_family(rng, n, size, density)
-        cols = column_sets(masks, n)
-        assert len(cols) == n
-        for _ in range(150):
-            A = rng.sample(range(1, n + 1), rng.randint(0, n))
-            expect = is_stopping_set_masks(masks, subset_mask(A))
-            assert is_stopping_set_columns(cols, A) == expect, (n, sorted(A))
-            outcomes.add(expect)
-    assert outcomes == {True, False}
-
-
-def test_column_bit_k_is_the_k_th_mask():
-    masks = [0b0110, 0b0011, 0b1000]
-    assert column_sets(masks, 4) == [0b010, 0b011, 0b001, 0b100]
-
-
-def test_columns_on_the_edges():
-    n = 70
-    assert column_sets([], n) == [0] * n
-    assert column_sets(frozenset(), 0) == []
-    empty = column_sets([], n)
-    assert is_stopping_set_columns(empty, [])
-    assert is_stopping_set_columns(empty, range(1, n + 1))
-    # one row over every column: every nonempty A meets it at least once,
-    # and exactly once only when |A| = 1
-    full = column_sets([(1 << n) - 1], n)
-    assert is_stopping_set_columns(full, [])
-    assert is_stopping_set_columns(full, range(1, n + 1))
-    assert not is_stopping_set_columns(full, [n])
-    masks = random_family(random.Random(1), n, 30, 0.3)
-    cols = column_sets(masks, n)
-    for A in ([], range(1, n + 1)):
-        assert is_stopping_set_columns(cols, A) == is_stopping_set_masks(masks, subset_mask(A))
-
-
-@pytest.mark.parametrize("masks, n", [([1 << 5], 5), ([0b11, 1 << 70], 70), ([-1], 4)])
-def test_columns_reject_masks_outside_the_columns(masks, n):
-    with pytest.raises(ValueError):
-        column_sets(masks, n)
-
-
-def test_columns_agree_on_a_code(ref_spec):
-    masks = hstar_census(ref_spec).masks
-    cols = column_sets(masks, ref_spec.n)
-    for size in range(ref_spec.n + 1):
-        for A in itertools.combinations(range(1, ref_spec.n + 1), size):
-            assert is_stopping_set_columns(cols, A) == is_stopping_set_masks(masks, subset_mask(A))

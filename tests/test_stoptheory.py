@@ -401,12 +401,11 @@ def test_settled_check_equals_every_size_check(field_text):
                 if field.q ** m > 3000:
                     break
                 spec = EllipticCodeSpec(E, D, m)
-                ctx = _sum_context(spec)
                 clean = hstar_support_masks(spec)
-                assert stoptheory._zero_sets_settle(spec, clean, ctx), (E, kind, m)
+                assert stoptheory._zero_sets_settle(spec, clean), (E, kind, m)
                 for label, masks in perturbed_masks(clean, spec.n, m, rng):
                     if label.endswith("-short"):
-                        assert not stoptheory._zero_sets_settle(spec, masks, ctx), (E, kind, m, label)
+                        assert not stoptheory._zero_sets_settle(spec, masks), (E, kind, m, label)
                     for cap in (5000, 20):
                         seed = rng.randrange(1000)
                         want = every_size_reference(spec, masks, cap, seed)
@@ -416,32 +415,40 @@ def test_settled_check_equals_every_size_check(field_text):
 
 
 def test_zero_sets_settle_needs_both_conditions(ref_spec):
-    ctx = _sum_context(ref_spec)
     n, m = ref_spec.n, ref_spec.m
     full = (1 << n) - 1
     clean = hstar_support_masks(ref_spec)
-    assert stoptheory._zero_sets_settle(ref_spec, clean, ctx)
+    assert stoptheory._zero_sets_settle(ref_spec, clean)
     # a row vanishing at m + 1 positions
-    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b1111}, ctx)
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b1111})
     # one zero-sum m-set no longer the zero set of any row
     zero_m = sorted(r for r in clean if (full ^ r).bit_count() == m)
     assert len(zero_m) == len(GOLDEN_S3)
-    assert not stoptheory._zero_sets_settle(ref_spec, clean - {zero_m[0]}, ctx)
+    assert not stoptheory._zero_sets_settle(ref_spec, clean - {zero_m[0]})
     # a row vanishing on an m-set that does not sum to O
-    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b111}, ctx)
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b111})
     # one row with m - 1 zeros gone: position i carries [i]P in Z/9, and
     # {1, 8} completes to O, outside D
     assert full ^ 0b10000001 in clean
-    assert not stoptheory._zero_sets_settle(ref_spec, clean - {full ^ 0b10000001}, ctx)
+    assert not stoptheory._zero_sets_settle(ref_spec, clean - {full ^ 0b10000001})
     # a spurious row vanishing on {1, 2}, which completes to 6 in D: the
     # zero set of its row is {1, 2, 6}
     assert full ^ 0b00100011 in clean and full ^ 0b11 not in clean
-    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b11}, ctx)
-    # masks outside the n columns never settle, so the column transpose
-    # refuses them
-    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full + 1}, ctx)
-    with pytest.raises(ValueError):
-        oracle_agreement_check(ref_spec, clean | {full + 1})
+    assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b11})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1 << 8, 0b11 | 1 << 70, -1, (1 << 9) - 1],
+    ids=["bit-at-n", "bit-far-past-n", "negative", "full-row-and-bit-at-n"],
+)
+def test_oracle_check_rejects_masks_outside_the_columns(ref_spec, bad):
+    # n = 8.  Beside the clean masks the last would settle: its 9 bits
+    # leave no zero set, so only the range check refuses it
+    assert ref_spec.n == 8
+    for masks in ({bad}, hstar_support_masks(ref_spec) | {bad}):
+        with pytest.raises(ValueError, match="outside the 8 columns"):
+            oracle_agreement_check(ref_spec, masks)
 
 
 def test_settled_check_samples_no_subsets(ref_spec, monkeypatch):
