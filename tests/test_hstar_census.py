@@ -27,6 +27,8 @@ from stopset.agcode import (
     _rref,
     _stream_census,
     hstar_census,
+    is_stopping_set_masks,
+    subset_mask,
     support_masks,
 )
 from stopset.ffield import parse_field
@@ -156,3 +158,19 @@ def test_weight_enumerator_of_a_one_row_matrix():
     # with x = y = 0, 20 with x, y nonzero and z any
     M = CodeMatrix(field, ((1, 2, 0),), ROLE_GENERATOR)
     assert weight_enumerator(M) == (1, 4, 4, 16)
+
+
+def test_columns_on_the_edges():
+    # past 64 columns the masks span more than one machine word
+    n = 70
+    everything = subset_mask(range(1, n + 1))
+    # no rows: every subset stops
+    assert is_stopping_set_masks([], 0)
+    assert is_stopping_set_masks(frozenset(), everything)
+    # one row over all n columns: every nonempty subset meets it, and
+    # exactly once only when it has one position
+    full = [(1 << n) - 1]
+    assert is_stopping_set_masks(full, 0)
+    assert is_stopping_set_masks(full, everything)
+    assert is_stopping_set_masks(full, subset_mask({1, n}))
+    assert not is_stopping_set_masks(full, subset_mask({n}))
