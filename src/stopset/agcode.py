@@ -302,22 +302,29 @@ def macwilliams_transform(dual_weights: Sequence[int], q: int, dual_dim: int) ->
     where the dual has q^dual_dim words (MacWilliams 1963):
 
         q^dual_dim * A_w = sum_i B_i K_w(i),
-        K_w(i) = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j).
 
-    Exact in integers.  Raises IntegrityError when the sum is not divisible
-    by q^dual_dim, some A_w < 0, A_0 != 1 or sum A_w != q^(n - dual_dim).
+    with the Krawtchouk polynomials K_w(i) = sum_j (-1)^j (q-1)^(w-j)
+    C(i, j) C(n-i, w-j), taken for each i with B_i != 0 from the
+    three-term recurrence K_0 = 1, K_1 = (q-1) n - q i,
+
+        (k+1) K_(k+1) = ((q-1)(n-k) + k - q i) K_k - (q-1)(n-k+1) K_(k-1),
+
+    in O(n) steps per i.  Exact in integers.  Raises IntegrityError when
+    the sum is not divisible by q^dual_dim, some A_w < 0, A_0 != 1 or
+    sum A_w != q^(n - dual_dim).
     """
     n = len(dual_weights) - 1
     scale = q ** dual_dim
+    totals = [0] * (n + 1)
+    for i, b in enumerate(dual_weights):
+        if b:
+            before, k_w = 0, 1
+            for w in range(n + 1):
+                totals[w] += b * k_w
+                step = ((q - 1) * (n - w) + w - q * i) * k_w - (q - 1) * (n - w + 1) * before
+                before, k_w = k_w, step // (w + 1)
     A = []
-    for w in range(n + 1):
-        total = 0
-        for i, b in enumerate(dual_weights):
-            if b:
-                total += b * sum(
-                    (-1) ** j * (q - 1) ** (w - j) * math.comb(i, j) * math.comb(n - i, w - j)
-                    for j in range(min(i, w) + 1)
-                )
+    for w, total in enumerate(totals):
         if total % scale:
             raise IntegrityError(f"q^{dual_dim} does not divide the MacWilliams sum for A_{w}")
         A.append(total // scale)

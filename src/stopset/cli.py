@@ -375,10 +375,8 @@ def _cmd_verify(args) -> int:
         mismatches += found
         if args.corrupt is not None:
             break  # fault injection targets the first instance only
-    if args.corrupt is not None and not instances:
-        raise ValueError(
-            f"the sweep with --max-q {args.max_q} and --max-m {args.max_m} is empty, so --corrupt has no instance to alter"
-        )
+    if not instances:
+        raise ValueError(f"the sweep with --max-q {args.max_q} and --max-m {args.max_m} is empty")
     report["instances"] = instances
     report["mismatch_count"] = len(mismatches)
     report["mismatches"] = mismatches[:50]

@@ -185,7 +185,7 @@ def subset_sum_table(
 
     One dynamic-programming pass over (index, size, sum) that never fills a
     layer above `top`; the elements must be distinct reduced coordinate
-    tuples of G.  The reference for the flat-list DP of
+    tuples of G.  The reference for the packed DP of
     stoptheory.count_S_m_of_spec.
     """
     for g in elements:

@@ -37,8 +37,11 @@ from .groupcount import AbelianGroup
 
 ENUM_MAX_N = 24  # report lists S(m) only for n up to this
 SET_LIMIT = 10 ** 4  # report lists S(m) only up to this many sets
-# bound on the subset-sum DP's work n * m * N, with N by the Hasse bound
-DP_MAX_WORK = 2 ** 23
+SAMPLE_CAP = 5000  # subsets per size an unsettled oracle check draws
+# bound on the bits the subset-sum DP adds, n * m * N * W, with N by the
+# Hasse bound and W the slot width; `report --p 7919 --a 1 --b 3 --m 3`
+# takes 7.3e9 of them
+DP_MAX_WORK = 2 ** 33
 
 
 class Verdict(enum.Enum):
@@ -208,30 +211,35 @@ def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> li
 def count_S_m_of_spec(spec: EllipticCodeSpec) -> int:
     """#S(m) for the spec's own evaluation set: a subset-sum DP over the
     points' coordinates in the curve group, stopped at layer m.  Checks
-    n * m * N against DP_MAX_WORK before the group is computed.
+    its n * m * N * W bits against DP_MAX_WORK before the group is
+    computed, with N by the Hasse bound.
 
-    Layer k is one flat list of N counts, the number of k-subsets of the
-    points seen so far summing to each c1 * m2 + c2.  A point (c1, c2)
-    adds layer k - 1, rotated by it, into layer k: each m2-block rolls by
-    c2 and the blocks roll by c1.  groupcount.subset_sum_table is the
-    reference."""
-    m = spec.m
-    work = spec.n * m * hasse_bound(spec.field.q)
+    Layer k counts the k-subsets of the points seen so far by their sum
+    c1 * m2 + c2, packed as m1 big ints of m2 slots of W bits each
+    (Kronecker substitution): block b holds the sums with c1 = b.  A slot
+    never exceeds C(n, k) < 2^(W - 1), so slots never carry into each
+    other.  A point (c1, c2) adds block (b - c1) mod m1 of layer k - 1,
+    its slots rolled by c2, into block b of layer k: the roll is two
+    shifts and a mask.  groupcount.subset_sum_table is the reference."""
+    n, m = spec.n, spec.m
+    W = math.comb(n, min(m, n // 2)).bit_length() + 1  # the largest C(n, k), k <= m
+    work = n * m * hasse_bound(spec.field.q) * W
     if work > DP_MAX_WORK:
-        raise SizeLimitError(f"subset-sum work n * m * N = {work} exceeds the bound {DP_MAX_WORK}")
+        raise SizeLimitError(f"subset-sum work n * m * N * W = {work} bits exceeds the bound {DP_MAX_WORK}")
     ctx = _sum_context(spec)
     m1, m2 = ctx.moduli
-    N = m1 * m2
-    layers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(m)]
+    width = m2 * W
+    full = (1 << width) - 1
+    layers = [[1] + [0] * (m1 - 1)] + [[0] * m1 for _ in range(m)]
     for seen, (c1, c2) in enumerate(ctx.coords):
+        up, down = c2 * W, width - c2 * W
         for k in range(min(seen + 1, m), 0, -1):
-            below, rotated = layers[k - 1], []
-            for b1 in range(m1):
-                start = (b1 - c1) % m1 * m2
-                block = below[start:start + m2]
-                rotated += block[m2 - c2:] + block[:m2 - c2]
-            layers[k] = list(map(operator.add, layers[k], rotated))
-    return layers[m][0]
+            below, layer = layers[k - 1], layers[k]
+            for b in range(m1):
+                x = below[(b - c1) % m1]
+                if x:
+                    layer[b] += ((x << up) | (x >> down)) & full
+    return layers[m][0] & ((1 << W) - 1)
 
 
 def stopping_distance(spec: EllipticCodeSpec) -> int:
@@ -256,12 +264,27 @@ def distribution(spec: EllipticCodeSpec) -> Distribution:
     return Distribution(tuple(counts))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u * a + v * b, for a > 0 and b >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        t, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - t * u1, v0 - t * v1
+    return a, u0, v0
+
+
 def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGroup | None:
     """If D together with infinity is closed under addition, return that
     subgroup's invariant factors, else None.
 
     Works on the coordinates of D in Z/m1 x Z/m2; raises ValueError when a
-    point of D is not on the curve."""
+    point of D is not on the curve.  D generates the subgroup L / (m1 Z x
+    m2 Z), where the lattice L in Z^2 is spanned by D's coordinates, (m1, 0)
+    and (0, m2).  Folding them one at a time into the Hermite form
+    [[a, b], [0, d]] of L (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4) gives its order m1 * m2 / (a * d), and D with
+    infinity is closed iff O is not in D and that order is |D| + 1."""
     gs = group_structure(curve)
     m1, m2 = gs.m1, gs.m2
     pts = set()
@@ -271,12 +294,15 @@ def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGrou
         pts.add(gs.coordinate_map[P])
     if (0, 0) in pts:
         return None
-    full = pts | {(0, 0)}
-    for a1, a2 in pts:
-        for b1, b2 in pts:
-            if ((a1 + b1) % m1, (a2 + b2) % m2) not in full:
-                return None
-    h = len(full)
+    a, b, d = m1, 0, m2
+    for x, y in pts:
+        g, u, v = _xgcd(a, x)
+        # (g, u*b + v*y) replaces (a, b); (x/g)(a, b) - (a/g)(x, y) has first
+        # coordinate 0 and folds into d
+        a, b, d = g, (u * b + v * y) % d, math.gcd(d, x // g * b - a // g * y)
+    h = len(pts) + 1
+    if m1 * m2 != h * a * d:
+        return None
     exponent = 1
     for c1, c2 in pts:
         exponent = math.lcm(exponent, m1 // math.gcd(c1, m1), m2 // math.gcd(c2, m2))
@@ -363,16 +389,14 @@ def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int]) -> bool:
     return zero_sets == found
 
 
-def oracle_agreement_check(
-    spec: EllipticCodeSpec, masks: Collection[int], sample_cap: int = 5000, seed: int = 0
-) -> list[dict]:
+def oracle_agreement_check(spec: EllipticCodeSpec, masks: Collection[int], seed: int = 0) -> list[dict]:
     """Compare the size casework that classify applies against the
     parity-check oracle given by the H* support `masks`; returns one record
     per disagreement.  Raises ValueError for a mask with a bit outside the
     n columns.  When `_zero_sets_settle` proves the two agree on every
     subset, that is the whole check: no subset is drawn or tested.
     Otherwise subsets of sizes m-1..m+2 are tested (all of them, or
-    `sample_cap` sampled per size, in that order), each by the definition:
+    SAMPLE_CAP sampled per size, in that order), each by the definition:
     one `is_stopping_set_masks` scan over the rows."""
     if min(masks, default=0) < 0 or max(masks, default=0) >> spec.n:
         raise ValueError(f"a support mask has a bit outside the {spec.n} columns")
@@ -381,7 +405,7 @@ def oracle_agreement_check(
     rng = random.Random(seed)
     mismatches = []
     for size in range(spec.m - 1, min(spec.m + 2, spec.n) + 1):
-        for A in sample_subsets(spec.n, size, sample_cap, rng):
+        for A in sample_subsets(spec.n, size, SAMPLE_CAP, rng):
             by_rule = classify(spec, A).is_stopping
             by_matrix = agcode.is_stopping_set_masks(masks, agcode.subset_mask(A))
             if by_rule != by_matrix:

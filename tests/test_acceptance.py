@@ -245,7 +245,7 @@ def test_criterion_04(sweep_specs):
     assert len(sweep_specs) > 100
     for spec in sweep_specs:
         masks = hstar_support_masks(spec)
-        mismatches = oracle_agreement_check(spec, masks, sample_cap=5000, seed=4)
+        mismatches = oracle_agreement_check(spec, masks, seed=4)
         assert mismatches == [], f"{spec.curve}: {mismatches[:3]}"
         # the check above is a proof on clean masks; this one compares
         # subset by subset

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from stopset import FieldSpec, curve, spec_all_points
+from stopset import AbelianGroup, FieldSpec, count_S_m, curve, spec_all_points
 from stopset.cli import _verify_instance, main
 from stopset.errors import IntegrityError
 
@@ -190,11 +190,19 @@ def test_every_corrupt_value_injects_a_fault(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--max-q", "5", "--max-m", "1"], ["--max-q", "4"]], ids=["m-below-2", "no-prime"]
+    "argv",
+    [
+        ["--max-q", "5", "--max-m", "1", "--corrupt", "3"],
+        ["--max-q", "4", "--corrupt", "3"],
+        ["--max-q", "5", "--max-m", "1"],
+        ["--max-q", "4"],
+    ],
+    ids=["m-below-2", "no-prime", "m-below-2-clean", "no-prime-clean"],
 )
 def test_verify_corrupt_on_an_empty_sweep_exit_2(capsys, argv):
-    # with no instance to alter, a fault cannot be injected
-    assert main(["verify", *argv, "--corrupt", "3"]) == 2
+    # with no instance, a fault cannot be injected, and a clean verdict
+    # would speak for no code
+    assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sweep" in captured.err and "empty" in captured.err
@@ -642,6 +650,15 @@ def test_report_omits_S_m_past_the_subset_bound(capsys):
     doc = run_json(capsys, ["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "12", "--D", P1009_D24])
     assert doc["s_m_count"] == 4208
     assert doc["s_m"] is None
+
+
+def test_report_counts_past_the_old_dp_bound(capsys):
+    # n * m * N = 2081 * 3 * 2093 was past the list DP's 2^23 additions;
+    # the packed layers take its 4.2e8 bits.  D = E minus O is cyclic of
+    # order 2082, so the Moebius formula checks the count
+    doc = run_json(capsys, ["report", "--p", "2003", "--a", "1", "--b", "3", "--m", "3"])
+    assert doc["group"] == {"m1": 1, "m2": 2082}
+    assert doc["s_m_count"] == count_S_m(AbelianGroup.from_cyclic_factors([2082]), 3) == 720374
 
 
 def _assert_named_twice(capsys, argv, sources):

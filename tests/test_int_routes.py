@@ -3,7 +3,10 @@ the slower route it replaced, kept here as the reference:
 
 - the order census of group_structure against point_order by repeated
   addition, with the generator search on top of it;
-- the flat-list #S(m) DP against groupcount.subset_sum_table;
+- the packed #S(m) DP against groupcount.subset_sum_table and the
+  flat-list DP it replaced;
+- the Krawtchouk MacWilliams transform against the binomial double sum;
+- the Hermite-form subgroup test against the closure scan;
 - the packed size casework against sums of curve points;
 - the ranked sampler against its contract;
 - the extension-field tables against polynomial arithmetic.
@@ -36,12 +39,14 @@ from stopset import (
     rational_points,
     recover_S_m,
     scalar_mul,
+    spec_all_points,
     sum_points,
 )
+from stopset.agcode import hstar_census, macwilliams_transform
 from stopset.curve import CENSUS_MAX_ORDER, _orders, hasse_bound
 from stopset.ffield import _op_tables, _poly_mul, _poly_rem
 from stopset.groupcount import subset_sum_table
-from stopset.stoptheory import count_S_m_of_spec, sample_subsets
+from stopset.stoptheory import count_S_m_of_spec, is_subgroup_minus_O, sample_subsets
 
 from conftest import nonsingular_curves
 
@@ -149,6 +154,26 @@ def evaluation_sets(E, rng):
     return sets
 
 
+def list_dp_reference(spec):
+    """#S(m) by the flat-list DP: layer k is a list of N counts indexed by
+    c1 * m2 + c2, and a point (c1, c2) adds layer k - 1, each m2-block
+    rolled by c2 and the blocks rolled by c1, into layer k."""
+    gs = group_structure(spec.curve)
+    m1, m2, m = gs.m1, gs.m2, spec.m
+    N = m1 * m2
+    layers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(m)]
+    for seen, P in enumerate(spec.D):
+        c1, c2 = gs.coordinate_map[P]
+        for k in range(min(seen + 1, m), 0, -1):
+            below, rotated = layers[k - 1], []
+            for b1 in range(m1):
+                start = (b1 - c1) % m1 * m2
+                block = below[start:start + m2]
+                rotated += block[m2 - c2:] + block[:m2 - c2]
+            layers[k] = [x + y for x, y in zip(layers[k], rotated)]
+    return layers[m][0]
+
+
 def test_flat_dp_matches_subset_sum_table():
     rng = random.Random(8)
     curves = [*CENSUS_CURVES, curve(FieldSpec(31), 1, 2), curve(FieldSpec(29), 0, 3)]
@@ -160,6 +185,135 @@ def test_flat_dp_matches_subset_sum_table():
                 assert count_S_m_of_spec(spec) == dp_reference(spec), (E, kind, m)
                 shapes.add(group_structure(E).m1 > 1)
     assert shapes == {False, True}
+
+
+def test_packed_dp_at_the_widest_slots():
+    # W is set by the largest C(n, k) with k <= m, which peaks at k = n / 2;
+    # m = n - 1 fills every layer past that peak as well
+    rng = random.Random(21)
+    specs, wide = [], 0
+    for E in [*CENSUS_CURVES, *seeded_curves(FieldSpec(11), 2, 11), curve(FieldSpec(13), 0, 1)]:
+        for kind, D in evaluation_sets(E, rng).items():
+            n = len(D)
+            for m in sorted({n // 2, (n + 1) // 2, n - 1} & set(range(1, n))):
+                spec = EllipticCodeSpec(E, D, m)
+                assert count_S_m_of_spec(spec) == dp_reference(spec) == list_dp_reference(spec), (E, kind, m)
+                specs.append(spec)
+                wide = max(wide, math.comb(n, m).bit_length())
+    assert wide > 10 and any(group_structure(spec.curve).m1 > 1 for spec in specs)
+
+
+# -- the MacWilliams transform -----------------------------------------------------
+
+
+def macwilliams_reference(dual_weights, q, dual_dim):
+    """A_0..A_n by the double sum of binomials, raising IntegrityError as
+    agcode.macwilliams_transform does."""
+    n = len(dual_weights) - 1
+    scale = q ** dual_dim
+    A = []
+    for w in range(n + 1):
+        total = sum(
+            b * sum(
+                (-1) ** j * (q - 1) ** (w - j) * math.comb(i, j) * math.comb(n - i, w - j)
+                for j in range(min(i, w) + 1)
+            )
+            for i, b in enumerate(dual_weights)
+        )
+        if total % scale:
+            raise IntegrityError(f"q^{dual_dim} does not divide the MacWilliams sum for A_{w}")
+        A.append(total // scale)
+    if min(A) < 0:
+        raise IntegrityError(f"negative weight count A_{A.index(min(A))} = {min(A)}")
+    if A[0] != 1:
+        raise IntegrityError(f"A_0 = {A[0]}, not 1")
+    if sum(A) != q ** (n - dual_dim):
+        raise IntegrityError(f"weight counts sum to {sum(A)}, not {q}^{n - dual_dim}")
+    return tuple(A)
+
+
+def transform_or_error(route, B, q, dual_dim):
+    try:
+        return route(B, q, dual_dim)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def test_krawtchouk_transform_matches_the_double_sum():
+    rng = random.Random(31)
+    outcomes = set()
+    cases = []
+    for q in (2, 3, 4, 5, 7, 9):
+        for _ in range(40):
+            n = rng.randrange(1, 19)
+            B = [rng.randrange(4) if rng.random() < 0.5 else 0 for _ in range(n + 1)]
+            cases.append((B, q, rng.randrange(n + 1)))
+    for E, m in [(curve(FieldSpec(5), 1, 1), 3), (curve(FieldSpec(7), 3, 2), 2), (curve(FieldSpec(11), 1, 2), 3),
+                 (seeded_curves(FieldSpec(5, 2), 1, 7)[0], 2)]:
+        spec = spec_all_points(E, m)
+        B, q, n = list(hstar_census(spec).dual_weights), spec.field.q, spec.n
+        A = macwilliams_transform(B, q, m)
+        assert macwilliams_transform(A, q, n - m) == tuple(B)  # and back to the dual's counts
+        cases += [(B, q, m), (list(A), q, n - m)]
+        tampered = B[:]
+        tampered[rng.randrange(n + 1)] += 1  # the sum leaves q^m
+        cases.append((tampered, q, m))
+        moved = B[:]
+        moved[n] += q ** m  # divisible, but A_1 < 0
+        cases.append((moved, q, m))
+        doubled = B[:]
+        doubled[0] += q ** m  # each A_w grows by (q-1)^w C(n, w): A_0 = 2
+        cases.append((doubled, q, m))
+        cases.append(([q ** m] + [0] * n, q, m))  # A_w = (q-1)^w C(n, w), summing to q^n
+    for B, q, dual_dim in cases:
+        want = transform_or_error(macwilliams_reference, B, q, dual_dim)
+        assert transform_or_error(macwilliams_transform, B, q, dual_dim) == want, (B, q, dual_dim)
+        if isinstance(want, str):
+            outcomes.add(next(key for key in ("divide", "negative", "A_0", "sum") if key in want))
+        else:
+            outcomes.add("ok")
+    assert outcomes == {"ok", "divide", "negative", "A_0", "sum"}
+
+
+# -- the subgroup test -------------------------------------------------------------
+
+
+def closure_scan_reference(E, D):
+    """The subgroup test by scanning all sums of two coordinate pairs:
+    D with O closed under addition in Z/m1 x Z/m2, invariant factors from
+    the order and the exponent."""
+    gs = group_structure(E)
+    m1, m2 = gs.m1, gs.m2
+    pts = {gs.coordinate_map[P] for P in D}
+    if (0, 0) in pts:
+        return None
+    full = pts | {(0, 0)}
+    for a1, a2 in pts:
+        for b1, b2 in pts:
+            if ((a1 + b1) % m1, (a2 + b2) % m2) not in full:
+                return None
+    exponent = math.lcm(1, *(point_order(E, P) for P in D))
+    return AbelianGroup.from_cyclic_factors((len(full) // exponent, exponent))
+
+
+def test_hermite_subgroup_test_matches_the_closure_scan():
+    rng = random.Random(41)
+    verdicts = []
+    curves = [*CENSUS_CURVES, *seeded_curves(FieldSpec(11), 3, 11), curve(FieldSpec(13), 0, 1)]
+    for E in curves:
+        affine = rational_points(E)[1:]
+        sets = evaluation_sets(E, rng)
+        sets["with-O"] = (INFINITY, *affine)
+        sets["torsion-with-O"] = (*sets["torsion"], INFINITY)
+        P = rng.choice(affine)
+        sets["cyclic"] = tuple(scalar_mul(E, k, P) for k in range(1, point_order(E, P)))
+        for k in range(4):
+            sets[f"pair-{k}"] = tuple(rng.sample(affine, min(2, len(affine))))
+        for kind, D in sets.items():
+            want = closure_scan_reference(E, D)
+            assert is_subgroup_minus_O(E, D) == want, (E, kind)
+            verdicts.append((group_structure(E).m1 > 1, want is not None))
+    assert set(verdicts) == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- the size casework ------------------------------------------------------------

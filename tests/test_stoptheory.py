@@ -213,10 +213,11 @@ def test_rank_two_subgroup_found():
     pytest.fail("no curve over F_13 carries full 3-torsion")
 
 
-def test_oracle_agreement_clean(ref_spec):
+def test_oracle_agreement_clean(ref_spec, monkeypatch):
     masks = hstar_support_masks(ref_spec)
     assert oracle_agreement_check(ref_spec, masks) == []
-    assert oracle_agreement_check(ref_spec, masks, sample_cap=10, seed=3) == []
+    monkeypatch.setattr(stoptheory, "SAMPLE_CAP", 10)
+    assert oracle_agreement_check(ref_spec, masks, seed=3) == []
 
 
 def test_oracle_agreement_flags_foreign_masks(ref_spec):
@@ -392,7 +393,7 @@ def perturbed_masks(masks, n, m, rng):
 
 
 @pytest.mark.parametrize("field_text", ["5", "7", "11", "13", "5,2", "7,2"])
-def test_settled_check_equals_every_size_check(field_text):
+def test_settled_check_equals_every_size_check(field_text, monkeypatch):
     rng = random.Random(f"settle-{field_text}")
     field = FieldSpec(*(int(t) for t in field_text.split(",")))
     for E in rng.sample(nonsingular_curves(field), 2 if field.k == 1 else 1):
@@ -408,8 +409,9 @@ def test_settled_check_equals_every_size_check(field_text):
                         assert not stoptheory._zero_sets_settle(spec, masks), (E, kind, m, label)
                     for cap in (5000, 20):
                         seed = rng.randrange(1000)
+                        monkeypatch.setattr(stoptheory, "SAMPLE_CAP", cap)
                         want = every_size_reference(spec, masks, cap, seed)
-                        got = oracle_agreement_check(spec, masks, cap, seed)
+                        got = oracle_agreement_check(spec, masks, seed)
                         assert got == want, (E, kind, m, label, cap)
                         assert (label == "clean") <= (got == [])
 
@@ -461,7 +463,7 @@ def test_settled_check_samples_no_subsets(ref_spec, monkeypatch):
 
     monkeypatch.setattr(stoptheory, "sample_subsets", recording)
     m = ref_spec.m
-    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec), 20, 1) == []
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec), seed=1) == []
     assert sizes == []
-    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1}, 20, 1)
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1}, seed=1)
     assert sizes == [m - 1, m, m + 1, m + 2]
