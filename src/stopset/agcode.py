@@ -523,15 +523,10 @@ def rs_code(field: FieldSpec, n: int, k: int) -> CodeMatrix:
 
 def mds_distribution(n: int, k: int) -> "Distribution":
     """Stopping-set distribution of any MDS [n, k] code under its maximal
-    parity-check matrix: nothing between the empty set and size n - k + 1,
-    everything from there up."""
+    parity-check matrix: every subset from size n - k + 1 up, and the empty set."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for i in range(n - k + 1, n + 1):
-        counts[i] = math.comb(n, i)
-    return Distribution(tuple(counts))
+    return Distribution.near_mds(n, n - k, 0)
 
 
 def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
@@ -549,6 +544,14 @@ def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
     return CodeMatrix(M.spec, ent, M.role)
 
 
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0..n) by the running product C(n, i+1) = C(n, i) * (n - i) / (i + 1)."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Stopping-set counts T_0..T_n; T_0 = 1 and T_i <= C(n, i)."""
@@ -559,11 +562,20 @@ class Distribution:
         if not self.counts or self.counts[0] != 1:
             raise ValueError("T_0 must be 1: the empty set is a stopping set")
         n = len(self.counts) - 1
-        c = 1  # C(n, i), one row of Pascal's triangle
-        for i, t in enumerate(self.counts):
+        for i, (t, c) in enumerate(zip(self.counts, _binomial_row(n))):
             if not 0 <= t <= c:
                 raise ValueError(f"T_{i} = {t} outside [0, C({n},{i})]")
-            c = c * (n - i) // (i + 1)
+
+    @classmethod
+    def near_mds(cls, n: int, m: int, s_m: int) -> "Distribution":
+        """T_0..T_n under the maximal parity-check matrix, for 0 < m < n: T_0 = 1,
+        nothing else below m, T_m = s_m, T_(m+1) = C(n, m+1) - (n - m) * s_m by
+        the disjoint-extension identity, and every subset from m + 2 up.  An
+        elliptic code has s_m = #S(m); an MDS [n, k] code is m = n - k, s_m = 0."""
+        row = _binomial_row(n)
+        row[1:m] = [0] * (m - 1)
+        row[m], row[m + 1] = s_m, row[m + 1] - (n - m) * s_m
+        return cls(tuple(row))
 
     @property
     def n(self) -> int:

@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except VerificationFailure as vf:
-        sys.stdout.write(json.dumps(vf.payload, indent=2) + "\n")
+        _emit(vf.payload, args)
         sys.stderr.write("verification mismatch\n")
         return 1
     except SizeLimitError as exc:

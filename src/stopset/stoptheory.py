@@ -248,20 +248,8 @@ def stopping_distance(spec: EllipticCodeSpec) -> int:
 
 
 def distribution(spec: EllipticCodeSpec) -> Distribution:
-    """The full stopping-set distribution T_0..T_n.
-
-    Only #S(m) needs real work: T_(m+1) follows from the disjoint-extension
-    identity, smaller sizes are forced, larger sizes are all subsets.
-    """
-    n, m = spec.n, spec.m
-    s_m = count_S_m_of_spec(spec)
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    counts[m] = s_m
-    counts[m + 1] = math.comb(n, m + 1) - (n - m) * s_m
-    for i in range(m + 2, n + 1):
-        counts[i] = math.comb(n, i)
-    return Distribution(tuple(counts))
+    """The full stopping-set distribution: Distribution.near_mds at #S(m)."""
+    return Distribution.near_mds(spec.n, spec.m, count_S_m_of_spec(spec))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -211,8 +211,59 @@ def test_mds_distribution_values():
 def test_stopping_distance_of_a_distribution():
     for n, k in [(5, 2), (4, 1), (7, 3), (30, 12)]:
         assert mds_distribution(n, k).stopping_distance == n - k + 1
+        assert mds_distribution(n, k) == Distribution.near_mds(n, n - k, 0)
     assert Distribution((1, 0, 0, 6, 40, 56, 28, 8, 1)).stopping_distance == 3
     assert Distribution((1, 0, 0)).stopping_distance is None  # only the empty set
+
+
+def near_mds_reference(n, m, s_m):
+    """The near-MDS shape size by size, one math.comb per size."""
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    counts[m] = s_m
+    counts[m + 1] = math.comb(n, m + 1) - (n - m) * s_m
+    for i in range(m + 2, n + 1):
+        counts[i] = math.comb(n, i)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "n, m, s_m",
+    [
+        (2, 1, 0),
+        (2, 1, 1),  # m = n - 1 admits at most one size-m set
+        (5, 1, 0),
+        (5, 1, 2),  # m = 1: nothing to zero below m
+        (8, 3, 14),  # the reference code's own #S(3)
+        (8, 7, 1),
+        (30, 12, 0),
+        (131, 4, 80_000),
+        (999, 3, 0),
+        (1000, 3, 10 ** 6),
+        (1000, 999, 1),
+        pytest.param(1000, 500, 10 ** 200, id="1000-500-10^200"),
+    ],
+)
+def test_near_mds_against_per_size_comb(n, m, s_m):
+    assert tuple(Distribution.near_mds(n, m, s_m)) == near_mds_reference(n, m, s_m)
+
+
+def test_near_mds_rejects_a_count_past_the_identity():
+    # (n - m) * s_m may not exceed C(n, m + 1): T_(m+1) would go negative
+    assert Distribution.near_mds(8, 3, 14)[4] == 0
+    with pytest.raises(ValueError, match="T_4"):
+        Distribution.near_mds(8, 3, 15)
+
+
+def test_distribution_bound_on_a_wide_row():
+    n = 999
+    counts = [math.comb(n, i) for i in range(n + 1)]
+    assert tuple(Distribution(tuple(counts))) == tuple(counts)
+    for i in (1, 3, 499, 500, 998, 999):
+        wide = list(counts)
+        wide[i] += 1
+        with pytest.raises(ValueError, match=f"T_{i} = "):
+            Distribution(tuple(wide))
 
 
 def test_rs_stopping_distribution_is_mds():

@@ -373,6 +373,13 @@ GOLDEN_LADDER = [
     # n = 46 > 24, with every size m - 1..m + 2 past the 5,000-subset cap
     (["report", "--p", "43", "--a", "1", "--b", "3", "--m", "4"], 0,
      "2fbf26a15f856e246b1868951148405d53b2daaa9488c086a613585d32553685"),
+    # MDS codes: the near-MDS shape with no size-m set
+    (["mds", "--n", "7", "--k", "3"], 0,
+     "4c6552dd14c75bc7d66e34ddad5b182b91118d0f6501bd8232d86d5c36f30370"),
+    (["mds", "--n", "7", "--k", "3", "--format", "csv"], 0,
+     "88702692793b67d976de700146230a3f3a17aee51568311b6675c50324195dff"),
+    (["mds", "--n", "4096", "--k", "2048"], 0,
+     "8b1ff4482123b7efa3b33520280703cc11cdf9c28bcf89d45025745cdeeb40e2"),
 ]
 
 
@@ -382,6 +389,15 @@ GOLDEN_LADDER = [
 def test_golden_stdout(capsys, argv, code, digest):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_failed_verify_writes_its_report_to_out(capsys, tmp_path):
+    argv = ["verify", "--max-q", "7", "--max-m", "3", "--corrupt", "11"]
+    digest = next(d for a, _, d in GOLDEN_LADDER if a == argv)
+    out = tmp_path / "v.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_corrupt_goes_through_the_oracle_check(capsys, monkeypatch):
