@@ -432,9 +432,11 @@ def matrix_rank(M: CodeMatrix) -> int:
     return len(_rref(M.spec, M.entries)[0])
 
 
-def _kernel_basis(spec: FieldSpec, rows: Sequence[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Value-level right null space of `rows` (each `width` wide)."""
-    reduced, pivots = _rref(spec, rows)
+def null_space(M: CodeMatrix) -> CodeMatrix:
+    """A basis of the right null space of M, as a parity-check-role matrix:
+    its rows span exactly the code checked by M."""
+    spec, width = M.spec, M.ncols
+    reduced, pivots = _rref(spec, M.entries)
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
@@ -443,13 +445,7 @@ def _kernel_basis(spec: FieldSpec, rows: Sequence[Sequence[int]], width: int) ->
         for r, pc in enumerate(pivots):
             vec[pc] = spec.neg_val(reduced[r][fc])
         basis.append(tuple(vec))
-    return basis
-
-
-def null_space(M: CodeMatrix) -> CodeMatrix:
-    """A basis of the right null space of M, as a parity-check-role matrix:
-    its rows span exactly the code checked by M."""
-    return CodeMatrix(M.spec, tuple(_kernel_basis(M.spec, M.entries, M.ncols)), ROLE_PARITY)
+    return CodeMatrix(spec, tuple(basis), ROLE_PARITY)
 
 
 def min_distance_bruteforce(M: CodeMatrix) -> int:
@@ -469,12 +465,13 @@ def min_distance_bruteforce(M: CodeMatrix) -> int:
 
 
 def min_distance_dependent_columns(H: CodeMatrix) -> int:
-    """Minimum distance of the code whose parity-check matrix is H.
+    """Minimum distance of the code whose parity-check matrix is H: the
+    least w for which some w columns of H are linearly dependent
+    (MacWilliams and Sloane, The Theory of Error-Correcting Codes, Ch. 1).
 
-    Searches, in ascending size w, for w columns carrying a dependency with
-    all coefficients nonzero; the first hit is the minimum distance (such a
-    dependency is a codeword of support exactly those columns).  Exhaustive
-    per size, capped at rank + 1 by the Singleton bound.
+    At that w every dependency among the w columns has full support, or
+    fewer columns would be dependent, so it is a codeword of weight w.
+    Exhaustive per size, capped at rank + 1 by the Singleton bound.
     """
     spec = H.spec
     rows, _ = _rref(spec, H.entries)
@@ -485,9 +482,7 @@ def min_distance_dependent_columns(H: CodeMatrix) -> int:
     for w in range(1, r + 2):
         require_subsets(n, w)
         for cols in combinations(range(n), w):
-            # a kernel vector of the chosen columns with full support
-            basis = _kernel_basis(spec, [[row[c] for c in cols] for row in rows], w)
-            if basis and any(map(all, _combination_stream(spec, basis, normalized=True))):
+            if len(_rref(spec, [[row[c] for c in cols] for row in rows])[0]) < w:
                 return w
     raise ValueError("unreachable: every code has distance <= rank + 1")
 

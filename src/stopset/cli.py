@@ -26,6 +26,7 @@ GEN_MAX_ENTRIES = 2 ** 20  # `gen` prints at most this many matrix entries, m * 
 GROUP_MAX_ORDER = 2 ** 40
 COUNT_MAX_DIGITS = 4300  # Python's default bound on int-to-str conversion
 VERIFY_MAX_CURVES = 2 ** 10  # `verify` tries p^2 pairs (a, b) per prime; primes up to 19 make 1014
+VERIFY_MAX_ROWS = 2 ** 17  # `verify` takes an m only if the dual codebook has at most this many (q^m) words
 ALL_MINUS_O = "all-minus-O"  # D = every rational point but infinity
 _SPEC_KEYS = {"field", "a", "b", "m", "D"}  # the keys of a `decode --spec` document
 
@@ -319,7 +320,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     the clean ones plus the flipped one.  While that adds nothing, the next
     entry is tried instead, so every `corrupt` injects a fault."""
     supports = [sum(1 << j for j, v in enumerate(row) if v) for row in agcode.hstar_rows(spec)]
-    clean = agcode.hstar_support_masks(spec)
+    clean = frozenset(supports)  # every H* row is nonzero
     n, entries = spec.n, len(supports) * spec.n
     start = corrupt % len(supports) * n + corrupt % n
     for k in range(start, start + entries):
@@ -345,7 +346,7 @@ def _verify_primes(max_q: int) -> list[int]:
 def _verify_specs(primes: list[int], max_m: int):
     """All (curve, m) instances in the sweep: every nonsingular curve over
     each prime field F_p, every m in [2, max_m] with m < n and a dual
-    codebook of at most 2^17 words within the row bound."""
+    codebook of at most VERIFY_MAX_ROWS words."""
     for p in primes:
         field = parse_field(str(p))
         for av, bv in itertools.product(range(p), repeat=2):
@@ -355,7 +356,7 @@ def _verify_specs(primes: list[int], max_m: int):
                 continue
             n = len(rational_points(E)) - 1
             for m in range(2, min(max_m, n - 1) + 1):
-                if field.q ** m <= 2 ** 17 and agcode.rows_fit(field.q, m):
+                if field.q ** m <= VERIFY_MAX_ROWS:
                     yield agcode.spec_all_points(E, m)
 
 

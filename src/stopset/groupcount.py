@@ -65,27 +65,20 @@ class AbelianGroup:
 
     @classmethod
     def from_cyclic_factors(cls, factors: Iterable[int]) -> "AbelianGroup":
-        """Normalize an arbitrary direct sum of cyclic groups.
+        """Normalize an arbitrary direct sum of cyclic groups into a
+        divisibility chain, e.g. (4, 3) -> (12,).
 
-        Collects the elementary divisors (prime-power parts) and repacks
-        them into a divisibility chain, e.g. (4, 3) -> (12,).
+        Z/a x Z/b is Z/gcd(a, b) x Z/lcm(a, b), the Smith form of a
+        diagonal matrix (Cohen, A Course in Computational Algebraic Number
+        Theory, 2.4).  Replacing each pair (f_i, f_j), i < j, by (gcd, lcm)
+        leaves every factor dividing each later one.
         """
-        by_prime: dict[int, list[int]] = defaultdict(list)
-        for d in factors:
-            if d < 1:
-                raise ValueError("cyclic factors must be positive")
-            for p, e in factorize(d).items():
-                by_prime[p].append(e)
-        rank = max((len(v) for v in by_prime.values()), default=0)
-        chain = []
-        for slot in range(rank):
-            f = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if slot < len(exps_sorted):
-                    f *= p ** exps_sorted[slot]
-            chain.append(f)
-        return cls(tuple(reversed(chain)))
+        chain = list(factors)
+        if any(d < 1 for d in chain):
+            raise ValueError("cyclic factors must be positive")
+        for i, j in itertools.combinations(range(len(chain)), 2):
+            chain[i], chain[j] = math.gcd(chain[i], chain[j]), math.lcm(chain[i], chain[j])
+        return cls(tuple(chain))
 
     @property
     def order(self) -> int:

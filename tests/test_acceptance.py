@@ -55,6 +55,7 @@ from stopset.agcode import (
     subset_mask,
     support_masks,
 )
+from stopset.cli import VERIFY_MAX_ROWS
 from stopset.groupcount import all_groups_of_order, subset_sum_table
 from stopset.ffield import parse_field
 from stopset.stoptheory import (
@@ -157,7 +158,7 @@ def sweep_specs(f5, f7):
         for E in nonsingular_curves(field):
             n = len(rational_points(E)) - 1
             for m in (2, 3, 4):
-                if m < n and field.q ** m <= 2 ** 17:
+                if m < n and field.q ** m <= VERIFY_MAX_ROWS:
                     specs.append(spec_all_points(E, m))
     return specs
 

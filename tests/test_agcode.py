@@ -176,6 +176,41 @@ def test_min_distance_on_rs_code():
     assert min_distance_dependent_columns(null_space(G)) == 5
 
 
+def test_dependent_columns_against_bruteforce():
+    # the least dependent column set of H against the least weight of the
+    # code H checks, on seeded random H: rank-deficient, with zero columns,
+    # and codes of dimension 0 (ValueError both ways), 1 and 2 or more
+    rng = random.Random(20)
+    seen = dict.fromkeys(("rank-deficient", "zero-column", "zero-code", "dimension-2"), 0)
+    for q, most_dim in ((2, 7), (3, 5), (5, 4), (7, 3)):
+        f = FieldSpec(q)
+        for _ in range(250):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(2, min(9, nrows + most_dim))
+            rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.3:  # the last row a combination of the others
+                c = [rng.randrange(q) for _ in range(nrows - 1)]
+                rows[-1] = [sum(ci * row[j] for ci, row in zip(c, rows)) % q for j in range(ncols)]
+            if rng.random() < 0.3:
+                zero = rng.randrange(ncols)
+                for row in rows:
+                    row[zero] = 0
+            H = CodeMatrix(f, tuple(map(tuple, rows)), "parity-check")
+            rank = matrix_rank(H)
+            seen["rank-deficient"] += rank < nrows
+            seen["zero-column"] += any(not any(col) for col in zip(*rows))
+            seen["dimension-2"] += ncols - rank >= 2
+            if rank == ncols:
+                seen["zero-code"] += 1
+                with pytest.raises(ValueError, match="zero code"):
+                    min_distance_dependent_columns(H)
+                with pytest.raises(ValueError, match="zero code"):
+                    min_distance_bruteforce(null_space(H))
+                continue
+            assert min_distance_dependent_columns(H) == min_distance_bruteforce(null_space(H)), (q, rows)
+    assert all(seen.values()), seen
+
+
 def test_min_distance_guards(f5, monkeypatch, set_row_limit):
     one_row = CodeMatrix(f5, ((1, 1, 1, 1),), "generator")
     assert min_distance_bruteforce(one_row) == 4

@@ -380,6 +380,16 @@ GOLDEN_LADDER = [
      "88702692793b67d976de700146230a3f3a17aee51568311b6675c50324195dff"),
     (["mds", "--n", "4096", "--k", "2048"], 0,
      "8b1ff4482123b7efa3b33520280703cc11cdf9c28bcf89d45025745cdeeb40e2"),
+    # the invariant factors of a direct sum of cyclic groups, up to a prime
+    # order of 40 bits
+    (["groupcount", "--group", "4x3", "--k", "2"], 0,
+     "3389fd37b7253c5e13297264a52c8cb45ce1b4fff3b38b6a47b646caf24a7637"),
+    (["groupcount", "--group", "2x3x4x9", "--k", "3", "--target", "0,2"], 0,
+     "092a784b4d23ef78e5275668eca14cba9bdac9a915a97e83c4a65783ead08595"),
+    (["groupcount", "--group", "963761198400", "--k", "3"], 0,
+     "9b8dee20bb78019605b95cf54a0a058d136d56386a118935da43c591873a976e"),
+    (["groupcount", "--group", "1099511627689", "--k", "3"], 0,
+     "77bf2d74dd4e09dfd1a2d87684cc5d9bdffdadac83e4869e04e3089aca98cabe"),
 ]
 
 
@@ -406,6 +416,23 @@ def test_verify_corrupt_goes_through_the_oracle_check(capsys, monkeypatch):
     monkeypatch.setattr(stoptheory, "oracle_agreement_check", lambda spec, masks, seed: [])
     assert main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["corrupted"] is True
+
+
+def test_verify_corrupt_reads_hstar_once(capsys, monkeypatch):
+    from stopset import agcode
+
+    def no_census(spec):
+        raise AssertionError("--corrupt takes its clean supports from the H* rows it streams")
+
+    monkeypatch.setattr(agcode, "hstar_census", no_census)
+    assert main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["corrupted"] is True
+
+
+def test_verify_sweep_bound_within_the_row_bound():
+    from stopset import agcode, cli
+
+    assert cli.VERIFY_MAX_ROWS <= agcode.ROW_LIMIT  # every swept H* fits the row bound
 
 
 def _count_calls(monkeypatch, module, names):

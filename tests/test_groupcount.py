@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -76,6 +77,35 @@ def test_from_cyclic_factors_normalizes():
     assert AbelianGroup.from_cyclic_factors([2, 4]).invariant_factors == (2, 4)
     assert AbelianGroup.from_cyclic_factors([2, 3, 4, 9]).invariant_factors == (6, 36)
     assert AbelianGroup.from_cyclic_factors([1, 5]).invariant_factors == (5,)
+
+
+def elementary_divisor_chain(factors):
+    """Reference: collect the prime-power parts of every factor and repack
+    the k-th largest power of each prime into the k-th largest invariant
+    factor."""
+    by_prime = {}
+    for d in factors:
+        for p, e in factorize(d).items():
+            by_prime.setdefault(p, []).append(p ** e)
+    rank = max(map(len, by_prime.values()), default=0)
+    chain = [1] * rank
+    for powers in by_prime.values():
+        for slot, power in enumerate(sorted(powers, reverse=True)):
+            chain[rank - 1 - slot] *= power
+    return tuple(d for d in chain if d != 1)
+
+
+def test_from_cyclic_factors_against_elementary_divisors():
+    rng = random.Random(20)
+    pool = [1, 1, 2, 3, 4, 5, 8, 9, 25, 27, 49, 6, 10, 12, 18, 30, 36, 60, 72, 90, 210, 1001, 2 ** 10 * 3 ** 4]
+    for _ in range(3000):
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+        got = AbelianGroup.from_cyclic_factors(factors).invariant_factors
+        assert got == elementary_divisor_chain(factors), factors
+        assert math.prod(got) == math.prod(factors)
+    for bad in ([0], [3, 0], [-2, 4]):
+        with pytest.raises(ValueError, match="^cyclic factors must be positive$"):
+            AbelianGroup.from_cyclic_factors(bad)
 
 
 def test_element_reduces_coordinates():
