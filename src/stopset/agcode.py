@@ -179,7 +179,8 @@ def _combination_stream(
     q = spec.q
     n = len(rows[0]) if rows else 0
     add, mul = spec.add_val, spec.mul_val
-    pre = [[tuple(mul(c, v) for v in row) for c in range(q)] for row in rows]
+    first = 2 if normalized else q  # the normalized walk reads row 0 only at c = 1
+    pre = [[tuple(mul(c, v) for v in row) for c in range(q if i else first)] for i, row in enumerate(rows)]
 
     def walk(level: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(rows):

@@ -138,7 +138,7 @@ def _code_header(spec: agcode.EllipticCodeSpec, **fields) -> dict:
     return _header(spec.curve, m=spec.m, n=spec.n, **fields)
 
 
-def _add_curve_args(sub, with_m: bool, required: bool = True) -> None:
+def _add_curve_args(sub, with_m: bool = False, required: bool = True) -> None:
     sub.add_argument("--p", type=int, help="prime field characteristic (shorthand for --field p)")
     sub.add_argument("--field", help="field as 'p', 'p,k' or 'p,k,c0.c1...ck'")
     sub.add_argument("--a", required=required, help="curve coefficient a")
@@ -387,71 +387,83 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _groupcount_args(sp) -> None:
+    sp.add_argument("--group", required=True, help="cyclic factors, e.g. 2x4")
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--target", default="", help="coordinates, e.g. 0,2 (default identity)")
+
+
+def _report_args(sp) -> None:
+    _add_curve_args(sp, with_m=True)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _verify_args(sp) -> None:
+    sp.add_argument("--max-q", type=int, default=7)
+    sp.add_argument("--max-m", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--corrupt", type=int, default=None, help="fault injection: alter one dual entry")
+
+
+def _mds_args(sp) -> None:
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _decode_args(sp) -> None:
+    _add_curve_args(sp, with_m=True, required=False)
+    sp.add_argument("--spec", help="JSON file with field/a/b/m/D instead of flags")
+    sp.add_argument("--erased", required=True, help="positions, e.g. 1,2,6")
+    sp.add_argument("--codeword", default="zero", help="'zero' or comma-separated elements")
+
+
+# name -> (help, a function that adds the command's arguments but --out, handler)
+_COMMANDS = {
+    "points": ("list the rational points of a curve", _add_curve_args, _cmd_points),
+    "structure": ("invariant factors of the curve group", _add_curve_args, _cmd_structure),
+    "groupcount": ("count k-subsets of G\\{0} with a given sum", _groupcount_args, _cmd_groupcount),
+    "gen": ("emit the evaluation (dual generator) matrix", lambda sp: _add_curve_args(sp, with_m=True), _cmd_gen),
+    "report": ("full stopping-set census for one code", _report_args, _cmd_report),
+    "verify": ("sweep small curves: classification vs oracle vs formulas", _verify_args, _cmd_verify),
+    "mds": ("stopping-set distribution of an MDS [n, k] code", _mds_args, _cmd_mds),
+    "decode": ("peel erasures over the full dual codebook", _decode_args, _cmd_decode),
+}
+
+
+def _command(name: str, sp: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """The parser of one command: sp, a subparser of the whole tree, or else
+    a parser of its own with the prog the tree gives that subparser."""
+    if sp is None:
+        sp = argparse.ArgumentParser(prog=f"stopset {name}")
+    _, add_args, func = _COMMANDS[name]
+    add_args(sp)
+    sp.add_argument("--out")
+    sp.set_defaults(command=name, func=func)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree; main builds it only for help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="stopset",
         description="Stopping sets of codes from elliptic curves over small finite fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("points", help="list the rational points of a curve")
-    _add_curve_args(sp, with_m=False)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_points)
-
-    sp = sub.add_parser("structure", help="invariant factors of the curve group")
-    _add_curve_args(sp, with_m=False)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_structure)
-
-    sp = sub.add_parser("groupcount", help="count k-subsets of G\\{0} with a given sum")
-    sp.add_argument("--group", required=True, help="cyclic factors, e.g. 2x4")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--target", default="", help="coordinates, e.g. 0,2 (default identity)")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_groupcount)
-
-    sp = sub.add_parser("gen", help="emit the evaluation (dual generator) matrix")
-    _add_curve_args(sp, with_m=True)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("report", help="full stopping-set census for one code")
-    _add_curve_args(sp, with_m=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_report)
-
-    sp = sub.add_parser("verify", help="sweep small curves: classification vs oracle vs formulas")
-    sp.add_argument("--max-q", type=int, default=7)
-    sp.add_argument("--max-m", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--corrupt", type=int, default=None, help="fault injection: alter one dual entry")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("mds", help="stopping-set distribution of an MDS [n, k] code")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_mds)
-
-    sp = sub.add_parser("decode", help="peel erasures over the full dual codebook")
-    _add_curve_args(sp, with_m=True, required=False)
-    sp.add_argument("--spec", help="JSON file with field/a/b/m/D instead of flags")
-    sp.add_argument("--erased", required=True, help="positions, e.g. 1,2,6")
-    sp.add_argument("--codeword", default="zero", help="'zero' or comma-separated elements")
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_decode)
-
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command(name, sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        # the parse the tree's subparser action makes, without the tree
+        args, stray = _command(name).parse_known_args(argv[1:])
+    if name not in _COMMANDS or stray:
+        args = build_parser().parse_args(argv)  # prints the usage error and exits 2
     try:
         return args.func(args)
     except VerificationFailure as vf:

@@ -1,6 +1,6 @@
 """Short Weierstrass curves y^2 = x^3 + ax + b over fields of
 characteristic >= 5, with exhaustive point enumeration and the group
-structure Z/m1 x Z/m2 from an order census.
+structure Z/m1 x Z/m2 from a walk along a generator or an order census.
 
 Point coordinates are canonical field values, ints in [0, q); the curve's
 field does their arithmetic and gives their text form."""
@@ -239,18 +239,28 @@ class GroupStructure:
 
 @lru_cache(maxsize=None)
 def group_structure(E: EllipticCurve) -> GroupStructure:
-    """Invariant factors by order census (_orders) and generator search;
-    computed once per curve.
-
-    The coordinate map is built by enumerating all m1*m2 combinations of the
-    candidate generators; hitting every point exactly once certifies that the
-    pair generates a direct sum, which makes the map a bijection and (by the
-    uniqueness of representations) an isomorphism.
-
-    Checks the census bound first (require_census).
-    """
+    """Invariant factors and generators, computed once per curve after the
+    census bound (require_census).  The Weil pairing puts the roots of unity
+    of order m1 in F_q (Silverman, The Arithmetic of Elliptic Curves,
+    III.8.1.1), so m1 > 1 needs a prime l | N with l | q - 1 and l^2 | N.
+    Without one the group is cyclic, and N additions along its first
+    generator map it; any other group takes the order census."""
     require_census(E.field.q)
     pts = rational_points(E)
+    N = len(pts)
+    primes = tuple(factorize(N))
+    if any((E.field.q - 1) % ell == 0 and N % (ell * ell) == 0 for ell in primes):
+        return _census_structure(E, pts)
+    # a cyclic group: g2 is the first point with [N/l]g2 != O for every l
+    g2 = next((P for P in pts if not any(_mul_unchecked(E, N // ell, P).is_infinity for ell in primes)), None)
+    if g2 is None:
+        raise IntegrityError(f"no point generates the cyclic group of order {N}")
+    return _mapped(E, 1, N, g2, [INFINITY])
+
+
+def _census_structure(E: EllipticCurve, pts: tuple[Point, ...]) -> GroupStructure:
+    """Invariant factors by order census (_orders); g2 is the first point of
+    order m2, g1 the first point of order m1 that completes the map."""
     N = len(pts)
     orders = _orders(E, pts)
     m2 = 1
@@ -261,11 +271,17 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     m1 = N // m2
     if m2 % m1:
         raise IntegrityError(f"invariant factors ({m1}, {m2}) fail m1 | m2")
-    # the Weil pairing puts the roots of unity of order m1 in F_q
-    # (Silverman, The Arithmetic of Elliptic Curves, III.8.1.1)
-    if (E.field.q - 1) % m1:
+    if (E.field.q - 1) % m1:  # the Weil pairing, as in group_structure
         raise IntegrityError(f"invariant factor m1 = {m1} does not divide q - 1 = {E.field.q - 1}")
     g2 = next(P for P in pts if orders[P] == m2)
+    # when m1 = 1 the only candidate is pts[0], the point at infinity
+    return _mapped(E, m1, m2, g2, [P for P in pts if orders[P] == m1])
+
+
+def _mapped(E: EllipticCurve, m1: int, m2: int, g2: Point, candidates: list[Point]) -> GroupStructure:
+    """Z/m1 x Z/m2 with g2 and the first g1 among candidates whose m1*m2 sums
+    [c1]g1 + [c2]g2 are distinct: that certifies a direct sum, so the map is
+    a bijection and (by the uniqueness of representations) an isomorphism."""
 
     def build_map(g1: Point) -> dict[Point, tuple[int, int]] | None:
         table: dict[Point, tuple[int, int]] = {}
@@ -277,20 +293,16 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
                     return None
                 table[acc] = (c1, c2)
                 acc = _add_unchecked(E, acc, g2)
+            if acc != row_start:
+                raise IntegrityError(f"[{m2}]g2 is not the point at infinity")
             row_start = _add_unchecked(E, row_start, g1)
         return table
 
-    # when m1 = 1 the only candidate is pts[0], the point at infinity
-    coord, g1 = None, INFINITY
-    for cand in pts:
-        if orders[cand] == m1:
-            coord = build_map(cand)
-            if coord is not None:
-                g1 = cand
-                break
-    if coord is None or len(coord) != N:
-        raise IntegrityError("no generator pair produced a full coordinate map")
-    return GroupStructure(m1, m2, (g1, g2), MappingProxyType(coord))
+    for g1 in candidates:
+        coord = build_map(g1)
+        if coord is not None:
+            return GroupStructure(m1, m2, (g1, g2), MappingProxyType(coord))
+    raise IntegrityError("no generator pair produced a full coordinate map")
 
 
 # ---------------------------------------------------------------------------

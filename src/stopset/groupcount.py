@@ -125,12 +125,13 @@ def e_of_b(G: AbelianGroup, b: Sequence[int]) -> int:
     b is in dG iff each coordinate b_i is divisible by gcd(d, d_i), because
     d*x = b_i (mod d_i) is solvable exactly under that condition.
     """
+    return _e_of_b(G, b, divisors(G.exponent))
+
+
+def _e_of_b(G: AbelianGroup, b: Sequence[int], divs: list[int]) -> int:
+    """e_of_b over divs, the divisors of exp(G)."""
     b = G.element(b)
-    best = 1
-    for d in divisors(G.exponent):
-        if all(bi % math.gcd(d, di) == 0 for bi, di in zip(b, G.invariant_factors)):
-            best = d
-    return best
+    return max(d for d in divs if all(bi % math.gcd(d, di) == 0 for bi, di in zip(b, G.invariant_factors)))
 
 
 def count_formula(G: AbelianGroup, k: int, b: Sequence[int]) -> int:
@@ -145,10 +146,11 @@ def count_formula(G: AbelianGroup, k: int, b: Sequence[int]) -> int:
     N = G.order
     if not 0 <= k <= N - 1:
         raise ValueError(f"subset size {k} outside [0, {N - 1}]")
-    eb = e_of_b(G, b)
     factors = factorize(G.exponent)
+    divs = _divisors_of(factors)
+    eb = _e_of_b(G, b, divs)
     total = 0
-    for s in _divisors_of(factors):
+    for s in divs:
         sign = -1 if (k + k // s) % 2 else 1
         outer = math.comb(N // s - 1, k // s)
         squarefree = [(1, 1)]  # (t, mu(t)) over the squarefree t | s

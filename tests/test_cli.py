@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from stopset import AbelianGroup, FieldSpec, count_S_m, curve, spec_all_points
-from stopset.cli import _verify_instance, main
+from stopset import cli
+from stopset.cli import _command, _verify_instance, build_parser, main
 from stopset.errors import IntegrityError
 
 REF = ["--p", "5", "--a", "1", "--b", "1"]
@@ -399,6 +401,55 @@ GOLDEN_LADDER = [
 def test_golden_stdout(capsys, argv, code, digest):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def tree_subparsers():
+    """The tree's subparsers by command name."""
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", list(tree_subparsers()))
+def test_one_command_parser_matches_the_tree(name):
+    assert _command(name).format_help() == tree_subparsers()[name].format_help()
+    ladder = [argv for argv, _, _ in GOLDEN_LADDER if argv[0] == name]
+    assert ladder
+    for argv in ladder:
+        args, stray = _command(name).parse_known_args(argv[1:])
+        assert stray == []
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["rep"],
+        ["mds", "--n", "5", "--k", "2", "stray"],
+        ["mds", "--n", "five", "--k", "2"],
+        ["report", *REF, "--m", "3", "--format", "xml"],
+    ],
+    ids=["unknown", "none", "prefix", "stray", "bad-int", "bad-format"],
+)
+def test_usage_errors_match_the_tree(capsys, argv):
+    with pytest.raises(SystemExit) as tree:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    got = capsys.readouterr()
+    assert one.value.code == tree.value.code == 2
+    assert (got.out, got.err) == (expected.out, expected.err)
+    assert got.err.startswith("usage: stopset")
+
+
+def test_a_clean_call_builds_no_tree(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the whole command tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run_json(capsys, ["mds", "--n", "5", "--k", "2"])["distribution"] == [1, 0, 0, 0, 5, 1]
 
 
 def test_failed_verify_writes_its_report_to_out(capsys, tmp_path):

@@ -123,18 +123,20 @@ def test_group_structure_full_two_torsion(f5):
     assert (gs.m1, gs.m2) == (2, 2)
 
 
-def test_group_structure_checks_the_weil_pairing(ref_curve, monkeypatch):
-    # every affine point of order 3 gives m1 = m2 = 3 over F_5 (N = 9):
-    # m1 | m2 holds, but 3 does not divide q - 1 = 4
+def test_group_structure_checks_the_weil_pairing(monkeypatch):
+    # y^2 = x^3 + x over F_31 has N = 32, and 2 | q - 1 with 4 | N keeps it
+    # on the order census; every affine point of order 8 gives m1 = 4 and
+    # m2 = 8: m1 | m2 holds, but 4 does not divide q - 1 = 30
     module = importlib.import_module("stopset.curve")
-    pts = rational_points(ref_curve)
-    assert len(pts) == 9
-    fake = {P: 1 if P.is_infinity else 3 for P in pts}
+    E = curve(FieldSpec(31), 1, 0)
+    pts = rational_points(E)
+    assert len(pts) == 32
+    fake = {P: 1 if P.is_infinity else 8 for P in pts}
     monkeypatch.setattr(module, "_orders", lambda E, pts: fake)
     group_structure.cache_clear()
     try:
-        with pytest.raises(IntegrityError, match="does not divide q - 1 = 4"):
-            group_structure(ref_curve)
+        with pytest.raises(IntegrityError, match="does not divide q - 1 = 30"):
+            group_structure(E)
     finally:
         group_structure.cache_clear()
 

@@ -138,6 +138,16 @@ def test_e_of_b_matches_definition():
             assert e_of_b(G, b) == max(image_dividers)
 
 
+def test_formula_factors_the_exponent_once(monkeypatch):
+    from stopset import groupcount
+
+    calls = []
+    monkeypatch.setattr(groupcount, "factorize", lambda n: calls.append(n) or factorize(n))
+    G = AbelianGroup((2, 6))
+    assert count_formula(G, 3, (0, 2)) == dp_count(G, G.nonzero_elements(), 3, (0, 2))
+    assert calls == [6]
+
+
 def test_formula_reference_value():
     # Z/9, subsets of size 3 of the 8 nonzero elements summing to zero
     G = AbelianGroup((9,))

@@ -146,6 +146,38 @@ def test_census_from_reduced_rows_of_random_matrices():
             assert census.dual_weights == tuple(weights), (text, rows)
 
 
+def combination_stream_reference(field, rows, normalized):
+    """The combination stream as it stood with all q multiples of every
+    row tabled, the normalized walk reading row 0 at c = 1 only."""
+    q, add, mul = field.q, field.add_val, field.mul_val
+    pre = [[tuple(mul(c, v) for v in row) for c in range(q)] for row in rows]
+
+    def walk(level, acc):
+        if level == len(rows):
+            yield acc
+            return
+        for c in range(q):
+            yield from walk(level + 1, acc if c == 0 else tuple(map(add, acc, pre[level][c])))
+
+    if not normalized:
+        yield from walk(0, (0,) * (len(rows[0]) if rows else 0))
+        return
+    for lead in range(len(rows)):
+        yield from walk(lead + 1, pre[lead][1])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("text", ["5", "7", "3,2"])
+def test_combination_stream_matches_the_full_table(text, count):
+    field = parse_field(text)
+    rng = random.Random(count)
+    rows = [[rng.randrange(field.q) for _ in range(6)] for _ in range(count)]
+    for normalized in (False, True):
+        expected = list(combination_stream_reference(field, rows, normalized))
+        assert list(_combination_stream(field, rows, normalized)) == expected
+    assert len(expected) == (field.q ** count - 1) // (field.q - 1)
+
+
 def test_weight_enumerator_of_a_zero_rank_matrix():
     field = FieldSpec(5)
     M = CodeMatrix(field, ((0, 0, 0), (0, 0, 0)), ROLE_GENERATOR)

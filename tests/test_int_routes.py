@@ -3,6 +3,7 @@ the slower route it replaced, kept here as the reference:
 
 - the order census of group_structure against point_order by repeated
   addition, with the generator search on top of it;
+- the walk along a generator of a cyclic group against the order census;
 - the packed #S(m) DP against groupcount.subset_sum_table and the
   flat-list DP it replaced;
 - the Krawtchouk MacWilliams transform against the binomial double sum;
@@ -43,8 +44,8 @@ from stopset import (
     sum_points,
 )
 from stopset.agcode import hstar_census, macwilliams_transform
-from stopset.curve import CENSUS_MAX_ORDER, _orders, hasse_bound
-from stopset.ffield import _op_tables, _poly_mul, _poly_rem
+from stopset.curve import CENSUS_MAX_ORDER, _census_structure, _orders, hasse_bound
+from stopset.ffield import _op_tables, _poly_mul, _poly_rem, factorize
 from stopset.groupcount import subset_sum_table
 from stopset.stoptheory import count_S_m_of_spec, is_subgroup_minus_O, sample_subsets
 
@@ -121,6 +122,58 @@ def test_census_bound(monkeypatch, p, inside):
     monkeypatch.setattr(importlib.import_module("stopset.curve"), "rational_points", enumerated)
     with pytest.raises(Enumerated if inside else SizeLimitError):
         group_structure(curve(FieldSpec(p), 1, 3))
+
+
+WALK_FIELDS = [*map(FieldSpec, (5, 7, 11, 13, 17, 19, 23)), FieldSpec(5, 2), FieldSpec(7, 2)]
+
+
+@pytest.mark.parametrize("field", WALK_FIELDS, ids=repr)
+def test_cyclic_walk_matches_the_order_census(field):
+    routes = set()
+    for E in nonsingular_curves(field):
+        pts = rational_points(E)
+        N = len(pts)
+        gs = group_structure(E)
+        # the walk is taken unless some prime l | q - 1 has l^2 | N; any
+        # other group took the census in group_structure already
+        walks = not any((field.q - 1) % ell == 0 and N % ell ** 2 == 0 for ell in factorize(N))
+        census = _census_structure(E, pts) if walks else gs
+        assert (gs.m1, gs.m2, gs.generators) == (census.m1, census.m2, census.generators)
+        assert dict(gs.coordinate_map) == dict(census.coordinate_map)
+        routes.add((walks, census.m1 == 1))
+    # walked groups are cyclic, and the census meets cyclic and other groups
+    assert (True, False) not in routes
+    assert {(True, True), (False, False)} <= routes
+
+
+def _walk_faults(E, pts):
+    """(fake _mul_unchecked, fake _add_unchecked or None, error) per fault
+    on a cyclic group E whose points are pts."""
+    low = next(P for P in pts if point_order(E, P) == 3)
+    # the walk steps through pts in order, then back to pts[1], not to O
+    step = lambda E, P, Q: pts[pts.index(P) % (len(pts) - 1) + 1]
+    return {
+        "repeat": (lambda E, n, P: P if P == low else INFINITY, None, "no generator pair"),
+        "no-generator": (lambda E, n, P: INFINITY, None, "no point generates"),
+        "no-return": (lambda E, n, P: P, step, "is not the point at infinity"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["repeat", "no-generator", "no-return"])
+def test_cyclic_walk_certifies_itself(monkeypatch, fault):
+    E = curve(FieldSpec(5), 1, 1)  # cyclic of order 9
+    pts = rational_points(E)
+    fake_mul, fake_add, message = _walk_faults(E, pts)[fault]
+    module = importlib.import_module("stopset.curve")
+    monkeypatch.setattr(module, "_mul_unchecked", fake_mul)
+    if fake_add is not None:
+        monkeypatch.setattr(module, "_add_unchecked", fake_add)
+    group_structure.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match=message):
+            group_structure(E)
+    finally:
+        group_structure.cache_clear()
 
 
 # -- the #S(m) DP ---------------------------------------------------------------
