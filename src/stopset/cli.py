@@ -52,6 +52,14 @@ def _distribution_csv(dist) -> str:
     return "size,count\n" + "".join(f"{i},{t}\n" for i, t in enumerate(dist))
 
 
+def _int(flag: str, text: str, part: str) -> int:
+    """int(part), part of the text given to flag; a usage error names both."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: {part.strip()!r} is not an integer") from None
+
+
 def _curve_text(args) -> tuple[str, str, str]:
     """(field, a, b) as the flags give them, the field named once."""
     if args.p is not None and args.field is not None:
@@ -172,7 +180,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_groupcount(args) -> int:
-    factors = [int(d) for d in args.group.lower().split("x")]
+    factors = [_int("--group", args.group, d) for d in args.group.lower().split("x")]
     order = math.prod(factors)
     if min(factors) > 0 and order > GROUP_MAX_ORDER:
         raise SizeLimitError(f"group order ({order.bit_length()} bits) exceeds the bound {GROUP_MAX_ORDER}")
@@ -185,7 +193,7 @@ def _cmd_groupcount(args) -> int:
                 f"the count may reach {COUNT_MAX_DIGITS} digits: C({G.order - 1}, {args.k}) does"
             )
     if args.target:
-        b = G.element(int(c) for c in args.target.split(","))
+        b = G.element(_int("--target", args.target, c) for c in args.target.split(","))
     else:
         b = G.identity()
     count = count_formula(G, args.k, b)
@@ -257,7 +265,7 @@ def _cmd_decode(args) -> int:
         word = [0] * spec.n
     else:
         word = [parse_element(f, t) for t in args.codeword.split(",")]
-    erased = [int(i) for i in args.erased.split(",") if i.strip()]
+    erased = [_int("--erased", args.erased, i) for i in args.erased.split(",") if i.strip()]
     instance = decoder.make_instance(spec, word, erased)
     recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
     payload = _code_header(

@@ -1,6 +1,7 @@
 """Short Weierstrass curves y^2 = x^3 + ax + b over fields of
 characteristic >= 5, with exhaustive point enumeration and the group
-structure Z/m1 x Z/m2 from a walk along a generator or an order census.
+structure Z/m1 x Z/m2, m1 read from the Sylow subgroups the Weil pairing
+allows.
 
 Point coordinates are canonical field values, ints in [0, q); the curve's
 field does their arithmetic and gives their text form."""
@@ -11,14 +12,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
-from .ffield import FieldSpec, parse_element
-from .groupcount import factorize
+from .ffield import FieldSpec, factorize, parse_element
 
-# bound on the order census of group_structure, O(N log^2 N) curve
-# additions, applied to the Hasse bound on N before any point is enumerated
+# bound on the census of group_structure: per prime that can divide m1, up
+# to N double-and-add scans of O(log N) additions, then N additions per map
+# it tries; applied to the Hasse bound on N before any point is enumerated
 CENSUS_MAX_ORDER = 2 ** 13
 
 
@@ -198,24 +199,6 @@ def point_order(E: EllipticCurve, P: Point) -> int:
     return n
 
 
-def _orders(E: EllipticCurve, pts: tuple[Point, ...]) -> dict[Point, int]:
-    """The order of every point of the group pts.  It divides N = #E, so
-    it is N stripped of each prime l | N for as long as [o/l]P = O (Cohen,
-    A Course in Computational Algebraic Number Theory, 1.4)."""
-    N = len(pts)
-    primes = tuple(factorize(N))
-    orders: dict[Point, int] = {}
-    for P in pts:
-        if P in orders:
-            continue
-        o = N
-        for ell in primes:
-            while o % ell == 0 and _mul_unchecked(E, o // ell, P).is_infinity:
-                o //= ell
-        orders[P] = orders[neg(E, P)] = o  # -P has the order of P
-    return orders
-
-
 @dataclass(frozen=True)
 class GroupStructure:
     """E(F_q) as Z/m1 x Z/m2 with m1 | m2.
@@ -242,43 +225,45 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     """Invariant factors and generators, computed once per curve after the
     census bound (require_census).  The Weil pairing puts the roots of unity
     of order m1 in F_q (Silverman, The Arithmetic of Elliptic Curves,
-    III.8.1.1), so m1 > 1 needs a prime l | N with l | q - 1 and l^2 | N.
-    Without one the group is cyclic, and N additions along its first
-    generator map it; any other group takes the order census."""
+    III.8.1.1), so only a prime l | q - 1 with l^v || N and v >= 2 divides
+    m1.  The l-Sylow subgroup is Z/l^(v-b) x Z/l^b, with l^b the largest
+    order of [N/l^v]P (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.4); the scan stops once b = v.  g2 is the first point of
+    order m2, g1 the first point of order m1 that completes the map."""
     require_census(E.field.q)
     pts = rational_points(E)
     N = len(pts)
-    primes = tuple(factorize(N))
-    if any((E.field.q - 1) % ell == 0 and N % (ell * ell) == 0 for ell in primes):
-        return _census_structure(E, pts)
-    # a cyclic group: g2 is the first point with [N/l]g2 != O for every l
-    g2 = next((P for P in pts if not any(_mul_unchecked(E, N // ell, P).is_infinity for ell in primes)), None)
-    if g2 is None:
-        raise IntegrityError(f"no point generates the cyclic group of order {N}")
-    return _mapped(E, 1, N, g2, [INFINITY])
-
-
-def _census_structure(E: EllipticCurve, pts: tuple[Point, ...]) -> GroupStructure:
-    """Invariant factors by order census (_orders); g2 is the first point of
-    order m2, g1 the first point of order m1 that completes the map."""
-    N = len(pts)
-    orders = _orders(E, pts)
-    m2 = 1
-    for o in orders.values():
-        m2 = math.lcm(m2, o)
-    if N % m2:
-        raise IntegrityError("exponent does not divide the group order")
-    m1 = N // m2
+    m1 = 1
+    for ell, v in factorize(N).items():
+        if v < 2 or (E.field.q - 1) % ell:
+            continue
+        cofactor, b = N // ell ** v, 0
+        for P in pts:
+            while b < v and not _mul_unchecked(E, cofactor * ell ** b, P).is_infinity:
+                b += 1
+            if b == v:
+                break
+        m1 *= ell ** (v - b)
+    m2 = N // m1
     if m2 % m1:
         raise IntegrityError(f"invariant factors ({m1}, {m2}) fail m1 | m2")
-    if (E.field.q - 1) % m1:  # the Weil pairing, as in group_structure
+    if (E.field.q - 1) % m1:  # the Weil pairing
         raise IntegrityError(f"invariant factor m1 = {m1} does not divide q - 1 = {E.field.q - 1}")
-    g2 = next(P for P in pts if orders[P] == m2)
-    # when m1 = 1 the only candidate is pts[0], the point at infinity
-    return _mapped(E, m1, m2, g2, [P for P in pts if orders[P] == m1])
+
+    def beyond_divisors(m: int) -> Iterator[Point]:
+        # the points with [m/l]P != O for every prime l | m, in order; each
+        # has order m if [m]P = O, which _mapped checks for g2
+        primes = tuple(factorize(m))
+        return (P for P in pts if not any(_mul_unchecked(E, m // ell, P).is_infinity for ell in primes))
+
+    g2 = next(beyond_divisors(m2), None)
+    if g2 is None:
+        raise IntegrityError(f"no point has order m2 = {m2}")
+    # when m1 = 1 the first candidate is pts[0], the point at infinity
+    return _mapped(E, m1, m2, g2, (P for P in beyond_divisors(m1) if _mul_unchecked(E, m1, P).is_infinity))
 
 
-def _mapped(E: EllipticCurve, m1: int, m2: int, g2: Point, candidates: list[Point]) -> GroupStructure:
+def _mapped(E: EllipticCurve, m1: int, m2: int, g2: Point, candidates: Iterable[Point]) -> GroupStructure:
     """Z/m1 x Z/m2 with g2 and the first g1 among candidates whose m1*m2 sums
     [c1]g1 + [c2]g2 are distinct: that certifies a direct sum, so the map is
     a bijection and (by the uniqueness of representations) an isomorphism."""

@@ -324,14 +324,14 @@ def _sqrt_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
 def parse_field(text: str) -> FieldSpec:
     """Parse 'p', 'p,k' or 'p,k,c0.c1...ck' (modulus constant-first)."""
     parts = [s.strip() for s in text.split(",")]
-    if len(parts) == 1:
-        return FieldSpec(int(parts[0]))
-    if len(parts) == 2:
-        return FieldSpec(int(parts[0]), int(parts[1]))
-    if len(parts) == 3:
-        modulus = tuple(int(c) for c in parts[2].split("."))
-        return FieldSpec(int(parts[0]), int(parts[1]), modulus)
-    raise ValueError(f"cannot parse field description {text!r}")
+    try:
+        if len(parts) > 3:
+            raise ValueError
+        p_k = [int(s) for s in parts[:2]]
+        modulus = tuple(int(c) for c in parts[2].split(".")) if len(parts) == 3 else ()
+    except ValueError:
+        raise ValueError(f"cannot parse field description {text!r}") from None
+    return FieldSpec(*p_k, modulus=modulus)
 
 
 def field_str(spec: FieldSpec) -> str:
@@ -345,6 +345,8 @@ def parse_element(spec: FieldSpec, text: str) -> int:
     (prime-subfield embedding) or a dot-separated coefficient list,
     constant term first."""
     text = text.strip()
-    if "." in text:
-        return spec.element([int(c) for c in text.split(".")])
-    return spec.element(int(text))
+    try:
+        coeffs = [int(c) for c in text.split(".")]
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as an element of {spec!r}") from None
+    return spec.element(coeffs if "." in text else coeffs[0])

@@ -225,6 +225,21 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--group", "2x", "--k", "1"], "--group '2x': '' is not an integer"),
+        (["--group", "2x4", "--k", "1", "--target", "x"], "--target 'x': 'x' is not an integer"),
+    ],
+    ids=["group", "target"],
+)
+def test_groupcount_bad_input_exits_2(capsys, argv, message):
+    assert main(["groupcount", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--p", "5", "--a", "1", "--b", "1"])  # no --m
@@ -253,8 +268,9 @@ def test_row_bound_ignores_the_environment(capsys, monkeypatch):
     [
         (["--p", "5", "--a", "1", "--b", "1", "--m", "3", "--D", "0,1;0,1"], "duplicate evaluation point 0,1"),
         (["--p", "7", "--a", "0", "--b", "1", "--m", "2", "--D", "inf"], "evaluation points must be affine"),
+        (["--p", "5", "--a", "1", "--b", "1", "--m", "3", "--D", "0,z"], "cannot read 'z' as an element of F(5)"),
     ],
-    ids=["duplicate", "infinity"],
+    ids=["duplicate", "infinity", "unreadable"],
 )
 def test_bad_points_named_before_m(capsys, argv, message):
     # D with too few points for m is still named by its faulty point
@@ -268,9 +284,10 @@ def test_bad_points_named_before_m(capsys, argv, message):
     "extra, message",
     [
         (["--erased", "0"], "erased position 0 outside [1, 8]"),
-        (["--erased", "1,x"], "invalid literal"),
+        (["--erased", "1,x"], "--erased '1,x': 'x' is not an integer"),
         (["--erased", "1", "--codeword", "0,0,0"], "codeword length 3 != n = 8"),
         (["--erased", "1", "--codeword", "1,0,0,0,0,0,0,0"], "not in the code"),
+        (["--erased", "1", "--codeword", "0,y"], "cannot read 'y' as an element of F(5)"),
     ],
 )
 def test_decode_bad_input_exits_2(capsys, extra, message):
@@ -594,9 +611,11 @@ def test_bad_m_exits_2_before_any_bound(tmp_path, argv):
         (["--p", "6", "--a", "1", "--b", "1"], "not prime"),
         (["--field", "5,2,4.0.1", "--a", "1", "--b", "1"], "reducible"),
         (["--p", "5", "--a", "0", "--b", "0"], "singular curve"),
-        (["--p", "7", "--a", "x", "--b", "1"], "invalid literal"),
+        (["--p", "7", "--a", "x", "--b", "1"], "cannot read 'x' as an element of F(7)"),
+        (["--field", "5,2", "--a", "1.x", "--b", "1"], "cannot read '1.x' as an element of F(5^2)"),
+        (["--field", "5,x", "--a", "1", "--b", "1"], "cannot parse field description '5,x'"),
     ],
-    ids=["not-prime", "reducible", "singular", "bad-element"],
+    ids=["not-prime", "reducible", "singular", "bad-element", "bad-coefficient", "bad-field"],
 )
 def test_bad_curve_exits_2(capsys, command, curve, message):
     assert main([command[0], *curve, *command[1:]]) == 2

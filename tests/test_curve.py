@@ -123,22 +123,37 @@ def test_group_structure_full_two_torsion(f5):
     assert (gs.m1, gs.m2) == (2, 2)
 
 
-def test_group_structure_checks_the_weil_pairing(monkeypatch):
-    # y^2 = x^3 + x over F_31 has N = 32, and 2 | q - 1 with 4 | N keeps it
-    # on the order census; every affine point of order 8 gives m1 = 4 and
-    # m2 = 8: m1 | m2 holds, but 4 does not divide q - 1 = 30
+def _faked_structure(monkeypatch, E, fake_mul):
+    """group_structure(E) with _mul_unchecked replaced by fake_mul(real, E,
+    n, P), on a fresh cache."""
     module = importlib.import_module("stopset.curve")
-    E = curve(FieldSpec(31), 1, 0)
-    pts = rational_points(E)
-    assert len(pts) == 32
-    fake = {P: 1 if P.is_infinity else 8 for P in pts}
-    monkeypatch.setattr(module, "_orders", lambda E, pts: fake)
+    real = module._mul_unchecked
+    monkeypatch.setattr(module, "_mul_unchecked", lambda E, n, P: fake_mul(real, E, n, P))
     group_structure.cache_clear()
     try:
-        with pytest.raises(IntegrityError, match="does not divide q - 1 = 30"):
-            group_structure(E)
+        return group_structure(E)
     finally:
         group_structure.cache_clear()
+
+
+def test_group_structure_checks_the_weil_pairing(monkeypatch):
+    # y^2 = x^3 + x over F_31 is cyclic of order N = 32, and 2 | q - 1 with
+    # 4 | N makes the 2-Sylow scan run; multiplying every scalar by 4 caps
+    # the orders it sees at 8, so m1 = 4 and m2 = 8: m1 | m2 holds, but 4
+    # does not divide q - 1 = 30
+    E = curve(FieldSpec(31), 1, 0)
+    assert len(rational_points(E)) == 32
+    with pytest.raises(IntegrityError, match="does not divide q - 1 = 30"):
+        _faked_structure(monkeypatch, E, lambda real, E, n, P: real(E, 4 * n, P))
+
+
+def test_group_structure_checks_m1_divides_m2(monkeypatch):
+    # y^2 = x^3 + 5 over F_13 is Z/4 x Z/4; with [2]Q = O faked for every Q
+    # the 2-Sylow scan sees no order past 2, so m1 = 8 and m2 = 2
+    E = curve(FieldSpec(13), 0, 5)
+    assert len(rational_points(E)) == 16
+    with pytest.raises(IntegrityError, match=r"\(8, 2\) fail m1 \| m2"):
+        _faked_structure(monkeypatch, E, lambda real, E, n, P: INFINITY if n % 2 == 0 else real(E, n, P))
 
 
 def test_coordinate_map_is_isomorphism(f5, f7):

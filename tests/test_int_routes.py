@@ -1,9 +1,9 @@
 """The packed-int routes of the group-law half of `report`, each against
 the slower route it replaced, kept here as the reference:
 
-- the order census of group_structure against point_order by repeated
-  addition, with the generator search on top of it;
-- the walk along a generator of a cyclic group against the order census;
+- group_structure, which reads m1 from the Sylow subgroups the Weil
+  pairing allows, against the order census by repeated addition
+  (census_reference), with the generator search on top of it;
 - the packed #S(m) DP against groupcount.subset_sum_table and the
   flat-list DP it replaced;
 - the Krawtchouk MacWilliams transform against the binomial double sum;
@@ -36,6 +36,7 @@ from stopset import (
     curve,
     enumerate_S_m,
     group_structure,
+    neg,
     point_order,
     rational_points,
     recover_S_m,
@@ -44,7 +45,7 @@ from stopset import (
     sum_points,
 )
 from stopset.agcode import hstar_census, macwilliams_transform
-from stopset.curve import CENSUS_MAX_ORDER, _census_structure, _orders, hasse_bound
+from stopset.curve import CENSUS_MAX_ORDER, hasse_bound
 from stopset.ffield import _op_tables, _poly_mul, _poly_rem, factorize
 from stopset.groupcount import subset_sum_table
 from stopset.stoptheory import count_S_m_of_spec, is_subgroup_minus_O, sample_subsets
@@ -53,11 +54,15 @@ from conftest import nonsingular_curves
 
 
 def census_reference(E):
-    """The census by repeated addition: every order from point_order, m2
-    their lcm, g2 the first point of order m2 and g1 the first point of
-    order m1 whose multiples with g2 cover the group once."""
+    """The census by repeated addition: every order from point_order (-P
+    has the order of P), m2 their lcm, g2 the first point of order m2 and
+    g1 the first point of order m1 whose multiples with g2 cover the group
+    once."""
     pts = rational_points(E)
-    orders = {P: point_order(E, P) for P in pts}
+    orders = {}
+    for P in pts:
+        if P not in orders:
+            orders[P] = orders[neg(E, P)] = point_order(E, P)
     m2 = math.lcm(*orders.values())
     m1 = len(pts) // m2
     g2 = next(P for P in pts if orders[P] == m2)
@@ -66,7 +71,7 @@ def census_reference(E):
         for c1, c2 in itertools.product(range(m1), range(m2)):
             table.setdefault(add(E, scalar_mul(E, c1, g1), scalar_mul(E, c2, g2)), (c1, c2))
         if len(table) == len(pts):
-            return orders, m1, m2, (g1, g2), table
+            return m1, m2, (g1, g2), table
     raise AssertionError("no generator pair covers the group")
 
 
@@ -83,8 +88,7 @@ CENSUS_CURVES = [
 
 
 def _check_census(E):
-    orders, m1, m2, generators, table = census_reference(E)
-    assert _orders(E, rational_points(E)) == orders
+    m1, m2, generators, table = census_reference(E)
     gs = group_structure(E)
     assert (gs.m1, gs.m2) == (m1, m2)
     assert gs.generators == generators
@@ -129,21 +133,16 @@ WALK_FIELDS = [*map(FieldSpec, (5, 7, 11, 13, 17, 19, 23)), FieldSpec(5, 2), Fie
 
 @pytest.mark.parametrize("field", WALK_FIELDS, ids=repr)
 def test_cyclic_walk_matches_the_order_census(field):
-    routes = set()
+    shapes = set()
     for E in nonsingular_curves(field):
-        pts = rational_points(E)
-        N = len(pts)
-        gs = group_structure(E)
-        # the walk is taken unless some prime l | q - 1 has l^2 | N; any
-        # other group took the census in group_structure already
-        walks = not any((field.q - 1) % ell == 0 and N % ell ** 2 == 0 for ell in factorize(N))
-        census = _census_structure(E, pts) if walks else gs
-        assert (gs.m1, gs.m2, gs.generators) == (census.m1, census.m2, census.generators)
-        assert dict(gs.coordinate_map) == dict(census.coordinate_map)
-        routes.add((walks, census.m1 == 1))
-    # walked groups are cyclic, and the census meets cyclic and other groups
-    assert (True, False) not in routes
-    assert {(True, True), (False, False)} <= routes
+        N = len(rational_points(E))
+        # the Sylow scan runs for each prime l | q - 1 with l^2 | N
+        scanned = any((field.q - 1) % ell == 0 and N % ell ** 2 == 0 for ell in factorize(N))
+        m1 = _check_census(E)
+        shapes.add((scanned, m1 > 1))
+    # the census finds m1 > 1 only where a scan runs, and the scan meets
+    # cyclic and other groups
+    assert shapes == {(False, False), (True, False), (True, True)}
 
 
 def _walk_faults(E, pts):
@@ -154,7 +153,7 @@ def _walk_faults(E, pts):
     step = lambda E, P, Q: pts[pts.index(P) % (len(pts) - 1) + 1]
     return {
         "repeat": (lambda E, n, P: P if P == low else INFINITY, None, "no generator pair"),
-        "no-generator": (lambda E, n, P: INFINITY, None, "no point generates"),
+        "no-generator": (lambda E, n, P: INFINITY, None, "no point has order m2 = 9"),
         "no-return": (lambda E, n, P: P, step, "is not the point at infinity"),
     }
 
