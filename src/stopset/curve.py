@@ -17,9 +17,9 @@ from typing import Iterable, Iterator, Mapping
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldSpec, factorize, parse_element
 
-# bound on the census of group_structure: per prime that can divide m1, up
-# to N double-and-add scans of O(log N) additions, then N additions per map
-# it tries; applied to the Hasse bound on N before any point is enumerated
+# bound on the census of group_structure: per prime that can divide m1, a
+# double-and-add of O(log N) additions per pair +-P, then N additions per
+# map it tries; applied to the Hasse bound on N before any point is listed
 CENSUS_MAX_ORDER = 2 ** 13
 
 
@@ -228,17 +228,19 @@ def group_structure(E: EllipticCurve) -> GroupStructure:
     III.8.1.1), so only a prime l | q - 1 with l^v || N and v >= 2 divides
     m1.  The l-Sylow subgroup is Z/l^(v-b) x Z/l^b, with l^b the largest
     order of [N/l^v]P (Cohen, A Course in Computational Algebraic Number
-    Theory, 1.4); the scan stops once b = v.  g2 is the first point of
-    order m2, g1 the first point of order m1 that completes the map."""
+    Theory, 1.4); the scan stops once b = v and skips -P, which follows P
+    in canonical order and has its order.  g2 is the first point of order
+    m2, g1 the first point of order m1 that completes the map."""
     require_census(E.field.q)
     pts = rational_points(E)
     N = len(pts)
+    pm_firsts = [pts[0], *(P for prev, P in zip(pts, pts[1:]) if P.x != prev.x)]
     m1 = 1
     for ell, v in factorize(N).items():
         if v < 2 or (E.field.q - 1) % ell:
             continue
         cofactor, b = N // ell ** v, 0
-        for P in pts:
+        for P in pm_firsts:
             while b < v and not _mul_unchecked(E, cofactor * ell ** b, P).is_infinity:
                 b += 1
             if b == v:

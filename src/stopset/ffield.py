@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import SizeLimitError
 
 MAX_FIELD_SIZE = 2 ** 20  # guard on q = p^k
-_OP_TABLE_BOUND = 2 ** 10  # below this, extension fields cache q*q op tables
+_OP_TABLE_BOUND = 2 ** 10  # up to this, extension fields cache a q*q addition table and logs
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -229,10 +229,11 @@ class FieldSpec:
 
 def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
     """The value ops of `spec` as plain functions, by the one route its size
-    picks: `%` arithmetic in a prime field, the `_op_tables` lookups in an
-    extension of at most _OP_TABLE_BOUND elements, and coefficient lists
-    reduced by the modulus above that, with a Fermat inverse a^(q-2).
-    The inverse of zero raises ZeroDivisionError on every route."""
+    picks: `%` arithmetic in a prime field, the `_op_tables` addition table
+    and discrete logs in an extension of at most _OP_TABLE_BOUND elements,
+    and coefficient lists reduced by the modulus above that, with a Fermat
+    inverse a^(q-2).  The inverse of zero raises ZeroDivisionError on every
+    route."""
     p, q = spec.p, spec.q
     if spec.k == 1:
         add = lambda a, b: (a + b) % p
@@ -243,11 +244,12 @@ def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
         dot = lambda a, b: sum(map(operator.mul, a, b)) % p
     else:
         if q <= _OP_TABLE_BOUND:
-            add_table, mul_table, neg_table, inv_table = _op_tables(spec)
+            add_table, exp, log = _op_tables(spec)
+            minus_one = log[p - 1]  # the log of the constant -1: 0 in characteristic 2
             add = lambda a, b: add_table[a][b]
-            neg = neg_table.__getitem__
-            mul = lambda a, b: mul_table[a][b]
-            invert = inv_table.__getitem__
+            neg = lambda a: a and exp[log[a] + minus_one]
+            mul = lambda a, b: a and b and exp[log[a] + log[b]]
+            invert = lambda a: exp[q - 1 - log[a]]
         else:
             coeffs, value_of, mod = spec.coeffs_of, spec.value_of, spec.modulus
             add = lambda a, b: value_of(map(operator.add, coeffs(a), coeffs(b)))
@@ -267,13 +269,11 @@ def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
 
 @lru_cache(maxsize=None)
 def _op_tables(spec: FieldSpec):
-    """(add, mul, neg, inv) lookup tables for an extension field of at most
-    _OP_TABLE_BOUND elements; inv[0] is 0 and never read.
-
-    Addition is coefficientwise mod p, so its table grows one coefficient
-    at a time.  Multiplication goes through discrete logs to the primitive
-    element g of least value: a * b = g^(log a + log b).  Both cost O(q^2)
-    int operations and O(q) polynomial products."""
+    """(add, exp, log) for an extension field of at most _OP_TABLE_BOUND
+    elements: the q x q addition table, grown one coefficient at a time in
+    O(q^2) int operations; exp[e] = g^e for the primitive element g of least
+    value, listed twice so that no exponent up to 2(q - 2) needs reducing;
+    and log[g^e] = e, with log[0] = 0 never read."""
     q, p = spec.q, spec.p
     digit = [[(a + b) % p for b in range(p)] for a in range(p)]
     add = digit
@@ -284,11 +284,7 @@ def _op_tables(spec: FieldSpec):
     log = [0] * q
     for e, v in enumerate(exp):
         log[v] = e
-    exp = exp + exp  # exponents up to 2(q - 2) without a reduction
-    nonzero_logs = log[1:]
-    mul = [[0] * q] + [[0, *map(exp[log[a]:].__getitem__, nonzero_logs)] for a in range(1, q)]
-    inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
-    return tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(mul[p - 1]), tuple(inv)
+    return tuple(map(tuple, add)), tuple(exp + exp), tuple(log)
 
 
 def _powers_of_primitive(spec: FieldSpec) -> list[int]:

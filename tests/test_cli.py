@@ -409,6 +409,12 @@ GOLDEN_LADDER = [
      "9b8dee20bb78019605b95cf54a0a058d136d56386a118935da43c591873a976e"),
     (["groupcount", "--group", "1099511627689", "--k", "3"], 0,
      "77bf2d74dd4e09dfd1a2d87684cc5d9bdffdadac83e4869e04e3089aca98cabe"),
+    # the group law and the H* census over the largest table field a curve
+    # uses, q = 961: multiplication, negation and inversion by logs
+    (["structure", "--field", "31,2", "--a", "1", "--b", "3"], 0,
+     "140c952a7b05eee02215caa60919ad811aee9cbfc2533521a76fbb583159d1d2"),
+    (["report", "--field", "31,2", "--a", "1", "--b", "3", "--m", "2"], 0,
+     "4c6177154e3026a792a37a33fc6d3afacad720d412c4ea9ea0839cfbb52205e1"),
 ]
 
 

@@ -156,6 +156,21 @@ def test_group_structure_checks_m1_divides_m2(monkeypatch):
         _faked_structure(monkeypatch, E, lambda real, E, n, P: INFINITY if n % 2 == 0 else real(E, n, P))
 
 
+def test_sylow_scan_skips_negatives(monkeypatch):
+    # y^2 = x^3 + 7x over F_13 is Z/3 x Z/6; its 3-Sylow subgroup is not
+    # cyclic, so the scan never reaches b = v and meets every pair +-P
+    E = curve(FieldSpec(13), 7, 0)
+    pts = rational_points(E)
+    multiplied = []
+    gs = _faked_structure(monkeypatch, E, lambda real, E, n, P: multiplied.append(P) or real(E, n, P))
+    assert (gs.m1, gs.m2) == (3, 6)
+    # the scan starts at O, and so does the search for g2 after it
+    scanned = multiplied[:multiplied.index(INFINITY, 1)]
+    firsts = [P for P in pts if P.is_infinity or P.y <= E.field.neg_val(P.y)]
+    assert len(firsts) == 10
+    assert sorted(set(scanned), key=pts.index) == firsts
+
+
 def test_coordinate_map_is_isomorphism(f5, f7):
     for E in (curve(f5, 1, 1), curve(f5, 1, 0), curve(f7, 0, 1), curve(f7, 5, 0)):
         gs = group_structure(E)
