@@ -368,9 +368,14 @@ def subset_mask(S: Iterable[int]) -> int:
     return mask
 
 
+def row_support(row: Sequence[int]) -> int:
+    """The support of one row as a bitmask (bit j-1 = column j)."""
+    return sum(1 << j for j, v in enumerate(row) if v)
+
+
 def support_masks(rows: Iterable[Sequence[int]]) -> frozenset[int]:
     """Distinct nonzero row supports as bitmasks (bit j-1 = column j)."""
-    masks = {sum(1 << j for j, v in enumerate(row) if v) for row in rows}
+    masks = set(map(row_support, rows))
     masks.discard(0)
     return frozenset(masks)
 

@@ -327,7 +327,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     multiples keep its old support in the set, so the faulty supports are
     the clean ones plus the flipped one.  While that adds nothing, the next
     entry is tried instead, so every `corrupt` injects a fault."""
-    supports = [sum(1 << j for j, v in enumerate(row) if v) for row in agcode.hstar_rows(spec)]
+    supports = list(map(agcode.row_support, agcode.hstar_rows(spec)))
     clean = frozenset(supports)  # every H* row is nonzero
     n, entries = spec.n, len(supports) * spec.n
     start = corrupt % len(supports) * n + corrupt % n
@@ -440,11 +440,65 @@ _COMMANDS = {
 }
 
 
-def _command(name: str, sp: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
-    """The parser of one command: sp, a subparser of the whole tree, or else
-    a parser of its own with the prog the tree gives that subparser."""
-    if sp is None:
-        sp = argparse.ArgumentParser(prog=f"stopset {name}")
+class _Flags:
+    """A command's flags, recorded from the add_argument and set_defaults
+    calls that declare them on the tree, and a read of plain argv by them.
+
+    parse(tokens) returns the argparse.Namespace the command's subparser
+    builds from tokens when they are `--flag value` pairs, every flag an
+    exact declared option string given once, no value starting with '-',
+    and every value and string default passing its type and choices, with
+    every required flag present.  Otherwise it returns None and the caller
+    lets the tree parse: help, usage errors, abbreviations, `--flag=value`,
+    option-like values and repeated flags."""
+
+    _MODELLED = {"type", "required", "default", "choices", "help"}
+
+    def __init__(self) -> None:
+        self.flags: dict[str, tuple] = {}  # option string -> (dest, type, required, default, choices)
+        self.defaults: dict = {}
+        self.plain = True  # every declaration is of a kind parse models
+
+    def add_argument(self, flag: str, *more: str, **kw) -> None:
+        self.plain &= not more and flag.startswith("--") and kw.keys() <= self._MODELLED
+        dest = flag.lstrip("-").replace("-", "_")
+        self.flags[flag] = (dest, kw.get("type"), kw.get("required", False), kw.get("default"), kw.get("choices"))
+
+    def set_defaults(self, **kw) -> None:
+        self.defaults.update(kw)
+
+    def parse(self, tokens: list[str]) -> argparse.Namespace | None:
+        given = dict(zip(tokens[::2], tokens[1::2]))
+        if not self.plain or len(tokens) != 2 * len(given) or not given.keys() <= self.flags.keys():
+            return None  # a stray or dangling token, a repeated flag, or a flag not declared as written
+        args = argparse.Namespace()
+        for flag, (dest, type_, required, default, choices) in self.flags.items():
+            if flag in given:
+                text = given[flag]
+                if text.startswith("-"):
+                    return None
+            elif required:
+                return None
+            elif isinstance(default, str):
+                text, choices = default, None  # argparse converts a string default but checks no choice
+            else:
+                setattr(args, dest, default)
+                continue
+            try:
+                value = text if type_ is None else type_(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            setattr(args, dest, value)
+        vars(args).update(self.defaults)
+        # two declarations of one name are argparse's to resolve
+        return args if len(vars(args)) == len(self.flags) + len(self.defaults) else None
+
+
+def _command(name: str, sp):
+    """Declare one command's flags on sp: a subparser of the whole tree, or
+    the _Flags that main reads plain argv with."""
     _, add_args, func = _COMMANDS[name]
     add_args(sp)
     sp.add_argument("--out")
@@ -453,7 +507,8 @@ def _command(name: str, sp: argparse.ArgumentParser | None = None) -> argparse.A
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree; main builds it only for help and usage errors."""
+    """The whole command tree; main builds it only when _Flags.parse
+    declines the argv."""
     parser = argparse.ArgumentParser(
         prog="stopset",
         description="Stopping sets of codes from elliptic curves over small finite fields",
@@ -466,12 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        # the parse the tree's subparser action makes, without the tree
-        args, stray = _command(name).parse_known_args(argv[1:])
-    if name not in _COMMANDS or stray:
-        args = build_parser().parse_args(argv)  # prints the usage error and exits 2
+    args = _command(argv[0], _Flags()).parse(argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if args is None:
+        # help, usage errors and the forms the plain read declines
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as vf:

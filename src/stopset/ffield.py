@@ -275,11 +275,14 @@ def _op_tables(spec: FieldSpec):
     value, listed twice so that no exponent up to 2(q - 2) needs reducing;
     and log[g^e] = e, with log[0] = 0 never read."""
     q, p = spec.q, spec.p
+    # entries are taken from one list of q ints, so the table holds q int
+    # objects, not a new one for each of its q^2 entries past 256
+    values = list(range(q))
     digit = [[(a + b) % p for b in range(p)] for a in range(p)]
     add = digit
     for _ in range(spec.k - 1):
         # a = a0 + p * a', b = b0 + p * b': the sum is digit[a0][b0] + p * add[a'][b']
-        add = [[d + p * h for h in add[a // p] for d in digit[a % p]] for a in range(p * len(add))]
+        add = [[values[d + p * h] for h in add[a // p] for d in digit[a % p]] for a in range(p * len(add))]
     exp = _powers_of_primitive(spec)
     log = [0] * q
     for e, v in enumerate(exp):

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -434,45 +435,155 @@ def tree_subparsers():
 
 @pytest.mark.parametrize("name", list(tree_subparsers()))
 def test_one_command_parser_matches_the_tree(name):
-    assert _command(name).format_help() == tree_subparsers()[name].format_help()
+    # the read knows every flag the tree's subparser declares but -h
+    sub = tree_subparsers()[name]
+    flags = _command(name, cli._Flags()).flags
+    assert flags.keys() == {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
     ladder = [argv for argv, _, _ in GOLDEN_LADDER if argv[0] == name]
     assert ladder
     for argv in ladder:
-        args, stray = _command(name).parse_known_args(argv[1:])
-        assert stray == []
+        args = _command(name, cli._Flags()).parse(argv[1:])
+        assert args is not None, argv
         assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["bogus"],
-        [],
-        ["rep"],
-        ["mds", "--n", "5", "--k", "2", "stray"],
-        ["mds", "--n", "five", "--k", "2"],
-        ["report", *REF, "--m", "3", "--format", "xml"],
+        (["bogus"], 2),
+        ([], 2),
+        (["rep"], 2),
+        (["mds", "--n", "5", "--k", "2", "stray"], 2),
+        (["mds", "--n", "five", "--k", "2"], 2),
+        (["report", *REF, "--m", "3", "--format", "xml"], 2),
+        (["report", *REF, "--m", "3.0"], 2),
+        (["report", "-h"], 0),
     ],
-    ids=["unknown", "none", "prefix", "stray", "bad-int", "bad-format"],
+    ids=["unknown", "none", "prefix", "stray", "bad-int", "bad-format", "float-m", "help"],
 )
-def test_usage_errors_match_the_tree(capsys, argv):
+def test_usage_errors_match_the_tree(capsys, argv, code):
     with pytest.raises(SystemExit) as tree:
         build_parser().parse_args(argv)
     expected = capsys.readouterr()
     with pytest.raises(SystemExit) as one:
         main(argv)
     got = capsys.readouterr()
-    assert one.value.code == tree.value.code == 2
+    assert one.value.code == tree.value.code == code
     assert (got.out, got.err) == (expected.out, expected.err)
-    assert got.err.startswith("usage: stopset")
+    assert (got.err if code else got.out).startswith("usage: stopset")
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["--fie", "5", "--a", "1", "--b", "1", "--m", "3"], [*REF, "--m", "3"]),
+        (["--p", "5", "--a=1", "--b", "1", "--m", "3"], [*REF, "--m", "3"]),
+        (["--p", "5", "--a", "-1", "--b", "1", "--m", "3"], ["--p", "5", "--a", "4", "--b", "1", "--m", "3"]),
+        ([*REF, "--m", "2", "--m", "3"], [*REF, "--m", "3"]),
+    ],
+    ids=["abbreviation", "equals", "negative", "repeat"],
+)
+def test_forms_the_read_declines_print_what_the_plain_form_prints(capsys, argv, plain):
+    # the tree parses these; the read hands them over untouched
+    assert _command("report", cli._Flags()).parse(argv) is None
+    assert main(["report", *argv]) == 0
+    declined = capsys.readouterr()
+    assert main(["report", *plain]) == 0
+    assert declined.out == capsys.readouterr().out and declined.err == ""
+
+
+def _mixed_argv(name, rng):
+    """A seeded argv for one command: plain pairs for its required flags and
+    some others, then up to two changes of the kinds argparse accepts or
+    refuses in ways the read must not copy."""
+    sub = tree_subparsers()[name]
+    actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+
+    def value(a):
+        if a.choices:
+            return rng.choice(list(a.choices))
+        if a.type is int:
+            return str(rng.randrange(40))
+        return rng.choice(["1", "5", "7,2", "0,1;4,2", "zero", "x", ""])
+
+    pairs = [[a.option_strings[0], value(a)] for a in actions if a.required or rng.random() < 0.4]
+    rng.shuffle(pairs)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        kind = rng.choice(
+            ["drop", "abbreviate", "equals", "negative", "repeat", "bad", "help", "stray", "unknown", "dangling"]
+        )
+        whole = [i for i, pair in enumerate(pairs) if len(pair) == 2]
+        pick = rng.choice(whole) if whole else None
+        if pick is None and kind not in ("help", "stray", "unknown", "dangling"):
+            continue  # nothing to edit
+        if kind == "drop":
+            pairs.pop(pick)
+        elif kind == "abbreviate":
+            pairs[pick][0] = pairs[pick][0][:-1]
+        elif kind == "equals":
+            pairs[pick] = ["=".join(pairs[pick])]
+        elif kind == "negative":
+            pairs[pick][1] = "-" + (pairs[pick][1] or "1")
+        elif kind == "repeat":
+            pairs.append([pairs[pick][0], rng.choice([pairs[pick][1], "3"])])
+        elif kind == "bad":
+            pairs[pick][1] = rng.choice(["3.0", "x", "xml", "", "1 2"])
+        elif kind == "help":
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(["-h", "--help"])])
+        elif kind == "stray":
+            pairs.insert(rng.randrange(len(pairs) + 1), ["stray"])
+        elif kind == "unknown":
+            pairs.insert(rng.randrange(len(pairs) + 1), ["--zzz", "1"])
+        elif kind == "dangling":
+            pairs.append([rng.choice(actions).option_strings[0]])
+    return [name, *(token for pair in pairs for token in pair)]
+
+
+@pytest.mark.parametrize("name", list(tree_subparsers()))
+def test_the_read_gives_the_tree_namespace_or_declines(capsys, name):
+    tree = build_parser()
+    rng = random.Random(name)
+    read = declined = 0
+    for _ in range(300):
+        argv = _mixed_argv(name, rng)
+        try:
+            want = tree.parse_args(argv)
+        except SystemExit:
+            want = None  # a usage error, exit 2, or help, exit 0
+        got = _command(name, cli._Flags()).parse(argv[1:])
+        assert got is None or got == want, argv
+        read += got is not None
+        declined += got is None and want is not None
+    capsys.readouterr()
+    # both sides of the read are exercised: argv it reads, and valid argv it hands over
+    assert read >= 50 and declined >= 10, (read, declined)
+
+
+def test_the_read_follows_declarations_no_command_makes_yet():
+    # a typed string default is converted as argparse converts it
+    flags, parser = cli._Flags(), argparse.ArgumentParser()
+    for sp in (flags, parser):
+        sp.add_argument("--n", type=int, default="7")
+        sp.set_defaults(command="x")
+    assert flags.parse([]) == parser.parse_args([]) == argparse.Namespace(n=7, command="x")
+    # a kind of flag the read does not model, or a default set on a flag's
+    # name, leaves the whole parse to argparse
+    flags.add_argument("--v", action="store_true")
+    assert flags.parse(["--n", "3"]) is None
+    flags = cli._Flags()
+    flags.add_argument("--n")
+    flags.set_defaults(n="1")
+    assert flags.parse(["--n", "3"]) is None
 
 
 def test_a_clean_call_builds_no_tree(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the whole command tree was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
     assert run_json(capsys, ["mds", "--n", "5", "--k", "2"])["distribution"] == [1, 0, 0, 0, 5, 1]
+    assert run_json(capsys, ["report", "--field", "7,2", "--a", "3.3", "--b", "1.3", "--m", "3", "--seed", "7"])
 
 
 def test_failed_verify_writes_its_report_to_out(capsys, tmp_path):

@@ -473,3 +473,10 @@ def test_op_tables_match_polynomial_arithmetic(p, k):
         assert f.add_val(a, minus_a) == 0
         if a:
             assert f.mul_val(a, f.inv_val(a)) == 1
+
+
+def test_addition_table_holds_one_int_object_per_value():
+    # q = 961: a fresh int for every entry past 256 made 676,801 objects,
+    # about 28 MB, where q shared ones do
+    add_table = _op_tables(FieldSpec(31, 2))[0]
+    assert len({id(v) for row in add_table for v in row}) == 31 ** 2
