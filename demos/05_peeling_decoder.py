@@ -11,8 +11,8 @@ from stopset import (
     FieldSpec,
     Point,
     curve,
+    dual_rows,
     generator_matrix,
-    hstar_rows,
     make_instance,
     null_space,
     peel,
@@ -26,7 +26,7 @@ D = tuple(scalar_mul(E, i, base) for i in range(1, 9))
 spec = EllipticCodeSpec(E, D, 3)
 
 codeword = null_space(generator_matrix(spec)).entries[0]
-rows = list(hstar_rows(spec))
+rows = [r for r in dual_rows(spec) if any(r)]
 print(f"codeword: {[str(c) for c in codeword]}")
 print(f"parity-check rows streamed: {len(rows)}")
 

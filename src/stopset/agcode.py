@@ -4,7 +4,10 @@ The code is C(D, m): the null space of the m x n evaluation matrix whose
 rows are the pole-order-sorted monomial basis x^i y^j (j <= 1, 2i + 3j <= m)
 evaluated on an ordered tuple D of n distinct affine points.  The maximal
 parity-check matrix H* consists of *all* q^m - 1 nonzero words of the row
-space of that evaluation matrix; H* is streamed, never stored.
+space of that evaluation matrix.  H* is streamed, never stored, and
+`hstar_rows` streams it up to scalars, one word per scalar class: scaling
+a row keeps its support, so the stopping sets and the peeling decoder's
+outcome are those of the full H*.
 
 A subset S of column indices (1-based) is a stopping set of H when no row
 of H restricted to S has Hamming weight exactly 1.  The empty set counts
@@ -43,9 +46,10 @@ def _require_rows(q: int, dim: int, what: str) -> None:
 
 
 def require_stream(q: int, m: int, n: int) -> None:
-    """Refuse a full H* stream, q^m rows of n entries, past STREAM_LIMIT
-    entries.  As q >= 2, an m of the bound's bit length or more is past it
-    whatever n is, and is refused before q^m is formed."""
+    """Refuse an H* stream past STREAM_LIMIT entries, counted as the q^m
+    rows of n entries of the full H* even though `hstar_rows` yields one row
+    per scalar class.  As q >= 2, an m of the bound's bit length or more is
+    past it whatever n is, and is refused before q^m is formed."""
     if m >= STREAM_LIMIT.bit_length() or q ** m * n > STREAM_LIMIT:
         raise SizeLimitError(f"{q}^{m} rows of {n} entries exceed the stream bound {STREAM_LIMIT}")
 
@@ -208,10 +212,16 @@ def dual_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
 
 
 def hstar_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
-    """Stream H*: the q^m - 1 nonzero dual words, as value tuples."""
-    for row in dual_rows(spec):
-        if any(row):
-            yield row
+    """Stream H* up to scalars: one normalized nonzero dual word per scalar
+    class, (q^m - 1)/(q - 1) value tuples.
+
+    A row c*h has the support of h, so the stopping sets of these rows are
+    those of all q^m - 1 nonzero words; and c*h meets an erased set where h
+    does and solves the same position with the same value, so peeling over
+    them recovers the same values and stalls on the same residual.
+    `dual_rows` still streams every word."""
+    _require_rows(spec.field.q, spec.m, "dual rows")
+    yield from _combination_stream(spec.field, generator_matrix(spec).entries, normalized=True)
 
 
 @dataclass(frozen=True)

@@ -327,7 +327,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
     multiples keep its old support in the set, so the faulty supports are
     the clean ones plus the flipped one.  While that adds nothing, the next
     entry is tried instead, so every `corrupt` injects a fault."""
-    supports = list(map(agcode.row_support, agcode.hstar_rows(spec)))
+    supports = [agcode.row_support(r) for r in agcode.dual_rows(spec) if any(r)]
     clean = frozenset(supports)  # every H* row is nonzero
     n, entries = spec.n, len(supports) * spec.n
     start = corrupt % len(supports) * n + corrupt % n

@@ -7,7 +7,10 @@ pass reads the rows once, so a one-shot stream is enough; each later pass
 revisits only the rows that still met two or more erased positions.  The
 decoder stalls exactly on the maximal stopping subset of the erased set
 when run over the full dual codebook, which is what ties decoding
-behaviour to stopping sets.
+behaviour to stopping sets.  One row per scalar class is enough, which is
+what `hstar_rows` streams: a row c*h has the support of h, so the stopping
+sets are the same, and it solves the same position with the same value,
+-c*s / (c*h_j) = -s / h_j for the syndrome s of h.
 """
 
 from __future__ import annotations

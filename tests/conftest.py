@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from stopset import EllipticCodeSpec, EllipticCurve, FieldSpec, Point, agcode, classify, curve, scalar_mul
+from stopset import (
+    EllipticCodeSpec,
+    EllipticCurve,
+    FieldSpec,
+    Point,
+    agcode,
+    classify,
+    curve,
+    rational_points,
+    scalar_mul,
+)
 from stopset.stoptheory import sample_subsets
 
 
@@ -44,6 +54,22 @@ def ref_spec(ref_curve, f5):
     P1 = Point(0, 1)
     D = tuple(scalar_mul(ref_curve, i, P1) for i in range(1, 9))
     return EllipticCodeSpec(ref_curve, D, 3)
+
+
+@pytest.fixture(scope="session")
+def f25_spec():
+    """A seeded curve over F_25 with D = its first nine affine points, which
+    include four pairs {P, -P}, so peeling both recovers and stalls.  m = 2."""
+    f = FieldSpec(5, 2)
+    rng = random.Random(25)
+    while True:
+        try:
+            E = EllipticCurve(f, f.from_value(rng.randrange(25)), f.from_value(rng.randrange(25)))
+            break
+        except ValueError:
+            continue
+    D = tuple(P for P in rational_points(E) if not P.is_infinity)[:9]
+    return EllipticCodeSpec(E, D, 2)
 
 
 def nonsingular_curves(field):

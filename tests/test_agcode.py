@@ -107,17 +107,22 @@ def test_spec_validation(ref_curve, f5):
         EllipticCodeSpec(ref_curve, (good[0], off), 1)
 
 
-def test_dual_rows_against_combo_oracle(ref_spec):
-    G = generator_matrix(ref_spec)
-    expected = all_row_combos(ref_spec.field, G.entries)
-    got = list(dual_rows(ref_spec))
-    assert len(got) == 125
-    assert all(v == 0 for v in got[0])
-    assert sorted(got) == sorted(expected)
-    assert len(set(got)) == 125
-    star = list(hstar_rows(ref_spec))
-    assert len(star) == 124
-    assert all(any(r) for r in star)
+def test_dual_rows_against_combo_oracle(ref_spec, f25_spec):
+    for spec in (ref_spec, f25_spec):
+        f, q, m = spec.field, spec.field.q, spec.m
+        G = generator_matrix(spec)
+        expected = all_row_combos(f, G.entries)
+        got = list(dual_rows(spec))
+        assert len(got) == q ** m
+        assert all(v == 0 for v in got[0])
+        assert sorted(got) == sorted(expected)
+        assert len(set(got)) == q ** m
+        # H* up to scalars: one row per class, whose nonzero multiples are
+        # every nonzero dual word exactly once
+        star = list(hstar_rows(spec))
+        assert len(star) == (q ** m - 1) // (q - 1)
+        multiples = [tuple(f.mul_val(c, v) for v in row) for row in star for c in range(1, q)]
+        assert sorted(multiples) == sorted(w for w in got if any(w))
 
 
 def test_hstar_masks_match_full_stream(ref_spec):

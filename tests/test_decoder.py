@@ -9,11 +9,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from stopset import (
-    EllipticCodeSpec,
-    EllipticCurve,
     ErasureInstance,
     FieldMismatchError,
-    FieldSpec,
     IntegrityError,
     dual_rows,
     enumerate_S_m1,
@@ -22,7 +19,6 @@ from stopset import (
     make_instance,
     null_space,
     peel,
-    rational_points,
     residual_is_stopping,
 )
 from stopset.cli import main
@@ -145,24 +141,9 @@ def test_stream_rows_are_int_tuples(ref_spec):
             assert all(type(v) is int for v in row)
 
 
-def _f25_spec():
-    """A seeded curve over F_25 with D = its first nine affine points, which
-    include four pairs {P, -P}, so peeling both recovers and stalls."""
-    f = FieldSpec(5, 2)
-    rng = random.Random(25)
-    while True:
-        try:
-            E = EllipticCurve(f, f.from_value(rng.randrange(25)), f.from_value(rng.randrange(25)))
-            break
-        except ValueError:
-            continue
-    D = tuple(P for P in rational_points(E) if not P.is_infinity)[:9]
-    return EllipticCodeSpec(E, D, 2)
-
-
 @pytest.mark.parametrize("which", ["reference", "F25"])
-def test_one_shot_and_list_agree(ref_spec, which):
-    spec = ref_spec if which == "reference" else _f25_spec()
+def test_one_shot_and_list_agree(ref_spec, f25_spec, which):
+    spec = ref_spec if which == "reference" else f25_spec
     f = spec.field
     rng = random.Random(4)
     word = [0] * spec.n
@@ -171,12 +152,15 @@ def test_one_shot_and_list_agree(ref_spec, which):
         word = [f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row)]
     codeword = tuple(word)
     star = list(hstar_rows(spec))
+    full = [r for r in dual_rows(spec) if any(r)]
     outcomes = set()
     for size in range(spec.n + 1):
         for S in itertools.combinations(range(1, spec.n + 1), size):
             inst = make_instance(spec, codeword, S)
             recovered, residual = peel(star, inst)
             assert peel(hstar_rows(spec), inst) == (recovered, residual), S
+            # one row per scalar class peels as every nonzero dual word does
+            assert peel(full, inst) == (recovered, residual), S
             assert residual <= inst.erased
             assert residual_is_stopping(star, residual)
             for j in range(1, spec.n + 1):
@@ -204,9 +188,9 @@ def test_bad_row_known_only_in_a_later_pass_raises(f5, erased):
 
 
 def test_decode_memory_stays_bounded():
-    # F_13, m = 4: 28560 H* rows, of which peeling keeps only those that
-    # meet two or more erasures; holding them all as field elements would
-    # peak near 46 MB
+    # F_13, m = 4: 2380 H* rows, one per scalar class of the 28560 nonzero
+    # dual words, of which peeling keeps only those that meet two or more
+    # erasures; holding all 28560 as field elements would peak near 46 MB
     argv = ["decode", "--p", "13", "--a", "1", "--b", "1", "--m", "4", "--erased", "1,2,3,4,5"]
     tracemalloc.start()
     try:
