@@ -158,11 +158,16 @@ def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
     (minimal) parity-check matrix of that code.
     """
     f = spec.field
-    rows = tuple(
-        tuple(f.mul_val(f.pow_val(P.x, i), f.pow_val(P.y, j)) for P in spec.D)
-        for i, j in rr_basis(spec.m)
-    )
-    return CodeMatrix(f, rows, ROLE_GENERATOR)
+    mul = f.mul_val
+    basis = rr_basis(spec.m)
+    top = max(i for i, _ in basis)
+    columns = []
+    for P in spec.D:
+        powers = [1]  # x^0 .. x^top at P, one multiplication each
+        for _ in range(top):
+            powers.append(mul(powers[-1], P.x))
+        columns.append([mul(powers[i], P.y) if j else powers[i] for i, j in basis])
+    return CodeMatrix(f, tuple(zip(*columns)), ROLE_GENERATOR)
 
 
 # ---------------------------------------------------------------------------

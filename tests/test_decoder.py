@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import random
 import tracemalloc
 from contextlib import redirect_stdout
@@ -188,15 +189,18 @@ def test_bad_row_known_only_in_a_later_pass_raises(f5, erased):
 
 
 def test_decode_memory_stays_bounded():
-    # F_13, m = 4: 2380 H* rows, one per scalar class of the 28560 nonzero
-    # dual words, of which peeling keeps only those that meet two or more
-    # erasures; holding all 28560 as field elements would peak near 46 MB
-    argv = ["decode", "--p", "13", "--a", "1", "--b", "1", "--m", "4", "--erased", "1,2,3,4,5"]
+    # F_37, m = 4, n = 47: 52022 H* rows, one per scalar class.  No set of
+    # fewer than m points is a stopping set, so three erasures peel fully,
+    # peeling keeps only the few rows read before the last one is solved,
+    # and the call peaks near 0.1 MB; holding every row as an int tuple
+    # would peak near 21 MB
+    argv = ["decode", "--p", "37", "--a", "1", "--b", "1", "--m", "4", "--erased", "1,2,3"]
     tracemalloc.start()
     try:
-        with redirect_stdout(io.StringIO()):
+        with redirect_stdout(io.StringIO()) as out:
             assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert json.loads(out.getvalue())["fully_recovered"]
     assert peak < 16 * 2 ** 20, peak
