@@ -284,9 +284,8 @@ def _cmd_decode(args) -> int:
 # matrix oracle and the counting formula against enumeration
 
 
-def _verify_instance(spec, seed: int, corrupt: int | None, report: dict) -> list[dict]:
+def _verify_instance(spec, seed: int, corrupt: int | None) -> list[dict]:
     if corrupt is not None:
-        report["corrupted"] = True
         return stoptheory.oracle_agreement_check(spec, _corrupted_masks(spec, corrupt), seed=seed)
     # the census `report` prints, then the routes it does not take
     rep = stoptheory.build_report(spec, seed)
@@ -372,8 +371,10 @@ def _cmd_verify(args) -> int:
     instances = 0
     mismatches = []
     report: dict = {"schema": 1, "max_q": args.max_q, "max_m": args.max_m}
+    if args.corrupt is not None:
+        report["corrupted"] = True
     for spec in _verify_specs(_verify_primes(args.max_q), args.max_m):
-        found = _verify_instance(spec, args.seed, args.corrupt, report)
+        found = _verify_instance(spec, args.seed, args.corrupt)
         instances += 1
         for rec in found:
             rec.setdefault(

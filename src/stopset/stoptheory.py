@@ -22,8 +22,6 @@ import enum
 import math
 import operator
 import random
-import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -271,8 +269,12 @@ def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGrou
     m2 Z), where the lattice L in Z^2 is spanned by D's coordinates, (m1, 0)
     and (0, m2).  Folding them one at a time into the Hermite form
     [[a, b], [0, d]] of L (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4) gives its order m1 * m2 / (a * d), and D with
-    infinity is closed iff O is not in D and that order is |D| + 1."""
+    Number Theory, 2.4) writes (m1, 0) and (0, m2) in that basis as the
+    rows of [[alpha, -alpha * b / d], [0, delta]], alpha = m1 / a and
+    delta = m2 / d.  The subgroup has order alpha * delta, so D with
+    infinity is closed iff O is not in D and that order is |D| + 1; its
+    invariant factors are the Smith form (g, alpha * delta / g) of that
+    matrix, g the gcd of its entries."""
     gs = group_structure(curve)
     m1, m2 = gs.m1, gs.m2
     pts = set()
@@ -288,18 +290,14 @@ def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGrou
         # (g, u*b + v*y) replaces (a, b); (x/g)(a, b) - (a/g)(x, y) has first
         # coordinate 0 and folds into d
         a, b, d = g, (u * b + v * y) % d, math.gcd(d, x // g * b - a // g * y)
-    h = len(pts) + 1
-    if m1 * m2 != h * a * d:
+    alpha, delta = m1 // a, m2 // d
+    order = alpha * delta
+    if order != len(pts) + 1:
         return None
-    exponent = 1
-    for c1, c2 in pts:
-        exponent = math.lcm(exponent, m1 // math.gcd(c1, m1), m2 // math.gcd(c2, m2))
-    if h % exponent:
-        raise IntegrityError("subgroup exponent does not divide its order")
-    first = h // exponent
-    if exponent % first:
-        raise IntegrityError("subgroup is not of rank <= 2")
-    return AbelianGroup.from_cyclic_factors((first, exponent))
+    g = math.gcd(alpha, alpha * b // d, delta)
+    if m1 % g or m2 % (order // g):
+        raise IntegrityError("subgroup invariant factors do not divide the group's")
+    return AbelianGroup.from_cyclic_factors((g, order // g))
 
 
 # ---------------------------------------------------------------------------
@@ -307,33 +305,16 @@ def is_subgroup_minus_O(curve: EllipticCurve, D: Sequence[Point]) -> AbelianGrou
 
 
 def sample_subsets(n: int, size: int, cap: int, rng: random.Random) -> list[tuple[int, ...]]:
-    """All size-subsets of [1..n], or `cap` distinct ones sampled when the
-    census is too large."""
-    total = math.comb(n, size)
-    if total <= cap:
+    """All size-subsets of [1..n] in lexicographic order, or, when there
+    are more than `cap`, `cap` distinct ones drawn by rejection: sorted
+    `rng.sample` draws are kept until `cap` differ.  Either way the list
+    is sorted and each subset ascending."""
+    if math.comb(n, size) <= cap:
         return list(combinations(range(1, n + 1), size))
-    # cap distinct ranks below C(n, size), each unranked in the
-    # combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): the set
-    # c_1 < ... < c_s of 0-based positions has rank r = sum of C(c_i, i),
-    # so c_s is the largest c with C(c, s) <= r, and so on down with
-    # r - C(c_s, s).  Position n - c_i stands for c_i: that reverses the
-    # order of the sets, so descending ranks give the subsets in ascending
-    # order, each one ascending.  The loop unranks one level of every rank
-    # at a time, a column of positions per level.
-    if total <= sys.maxsize:
-        ranks = rng.sample(range(total), cap)
-    else:  # past what random.sample can index; collisions are then rare
-        ranks = set()
-        while len(ranks) < cap:
-            ranks.add(rng.randrange(total))
-    ranks = sorted(ranks, reverse=True)
-    columns = []
-    for i in range(size, 0, -1):
-        row = [math.comb(c, i) for c in range(n)]
-        cs = [bisect_right(row, r) - 1 for r in ranks]
-        ranks = list(map(operator.sub, ranks, map(row.__getitem__, cs)))
-        columns.append([n - c for c in cs])
-    return list(zip(*columns))
+    drawn: set[tuple[int, ...]] = set()
+    while len(drawn) < cap:
+        drawn.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
+    return sorted(drawn)
 
 
 def _zero_sets_settle(spec: EllipticCodeSpec, masks: Collection[int]) -> bool:
@@ -384,8 +365,9 @@ def oracle_agreement_check(spec: EllipticCodeSpec, masks: Collection[int], seed:
     n columns.  When `_zero_sets_settle` proves the two agree on every
     subset, that is the whole check: no subset is drawn or tested.
     Otherwise subsets of sizes m-1..m+2 are tested (all of them, or
-    SAMPLE_CAP sampled per size, in that order), each by the definition:
-    one `is_stopping_set_masks` scan over the rows."""
+    SAMPLE_CAP per size drawn by rejection with `seed`, in that order),
+    each by the definition: one `is_stopping_set_masks` scan over the
+    rows."""
     if min(masks, default=0) < 0 or max(masks, default=0) >> spec.n:
         raise ValueError(f"a support mask has a bit outside the {spec.n} columns")
     if _zero_sets_settle(spec, masks):

@@ -160,7 +160,7 @@ def test_verify_instance_lists_S_m_past_the_report_bound():
     for m in (2, 3):
         spec = spec_all_points(E, m)
         assert spec.n == 25
-        assert _verify_instance(spec, 0, None, {}) == []
+        assert _verify_instance(spec, 0, None) == []
 
 
 def test_verify_clamps_m_below_n(capsys):

@@ -9,7 +9,7 @@ the slower route it replaced, kept here as the reference:
 - the Krawtchouk MacWilliams transform against the binomial double sum;
 - the Hermite-form subgroup test against the closure scan;
 - the packed size casework against sums of curve points;
-- the ranked sampler against its contract;
+- the sampler against its contract;
 - the extension-field tables against polynomial arithmetic.
 """
 
@@ -346,7 +346,7 @@ def closure_scan_reference(E, D):
 
 def test_hermite_subgroup_test_matches_the_closure_scan():
     rng = random.Random(41)
-    verdicts = []
+    verdicts, ranks = [], []
     curves = [*CENSUS_CURVES, *seeded_curves(FieldSpec(11), 3, 11), curve(FieldSpec(13), 0, 1)]
     for E in curves:
         affine = rational_points(E)[1:]
@@ -357,11 +357,26 @@ def test_hermite_subgroup_test_matches_the_closure_scan():
         sets["cyclic"] = tuple(scalar_mul(E, k, P) for k in range(1, point_order(E, P)))
         for k in range(4):
             sets[f"pair-{k}"] = tuple(rng.sample(affine, min(2, len(affine))))
+        # <[i]g1, [j]g2> \ {O} for every i | m1 and j | m2, non-cyclic ones included
+        gs = group_structure(E)
+        (g1, g2), m1, m2 = gs.generators, gs.m1, gs.m2
+        for i, j in itertools.product(range(1, m1 + 1), range(1, m2 + 1)):
+            if m1 % i == 0 and m2 % j == 0:
+                span = dict.fromkeys(
+                    add(E, scalar_mul(E, s * i, g1), scalar_mul(E, t * j, g2))
+                    for s in range(m1 // i) for t in range(m2 // j)
+                )
+                sets[f"span-{i}-{j}"] = tuple(P for P in span if P != INFINITY)
+        # <g1 + g2>: cyclic, yet it leaves neither factor's coordinate 0
+        h = add(E, g1, g2)
+        sets["diagonal"] = tuple(scalar_mul(E, k, h) for k in range(1, point_order(E, h)))
         for kind, D in sets.items():
             want = closure_scan_reference(E, D)
             assert is_subgroup_minus_O(E, D) == want, (E, kind)
-            verdicts.append((group_structure(E).m1 > 1, want is not None))
+            verdicts.append((m1 > 1, want is not None))
+            ranks.append(0 if want is None else len(want.invariant_factors))
     assert set(verdicts) == {(False, False), (False, True), (True, False), (True, True)}
+    assert 2 in ranks
 
 
 # -- the size casework ------------------------------------------------------------
@@ -422,8 +437,9 @@ def test_packed_casework_matches_point_sums():
 
 
 @pytest.mark.parametrize(
-    "n, size, cap", [(20, 5, 100), (9, 3, 10), (40, 6, 2000), (12, 1, 5), (12, 11, 5), (200, 20, 10)]
-)  # C(200, 20) is past sys.maxsize
+    "n, size, cap",
+    [(20, 5, 100), (9, 3, 10), (40, 6, 2000), (12, 1, 5), (12, 11, 5), (200, 20, 10), (9, 3, 83)],
+)  # C(200, 20) is past sys.maxsize; cap = C(9, 3) - 1 is the slowest rejection case
 def test_sampled_subsets_are_distinct_sorted_and_in_range(n, size, cap):
     for seed in range(5):
         got = sample_subsets(n, size, cap, random.Random(seed))
@@ -433,6 +449,9 @@ def test_sampled_subsets_are_distinct_sorted_and_in_range(n, size, cap):
             assert len(A) == size and list(A) == sorted(set(A))
             assert 1 <= A[0] and A[-1] <= n
         assert got == sample_subsets(n, size, cap, random.Random(seed))
+    if cap == math.comb(n, size) - 1:  # one more takes every subset, in order
+        everything = list(itertools.combinations(range(1, n + 1), size))
+        assert sample_subsets(n, size, cap + 1, random.Random(0)) == everything
 
 
 def test_sampler_reaches_every_subset():
