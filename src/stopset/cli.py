@@ -71,8 +71,10 @@ def _curve_text(args) -> tuple[str, str, str]:
     return args.field if args.p is None else str(args.p), args.a, args.b
 
 
-def _curve(field_text: str, a: str, b: str) -> EllipticCurve:
+def _curve(field_text: str, a: str, b: str, fits) -> EllipticCurve:
+    """The curve the texts name, built once fits(q) passes: no table is built first."""
     field = parse_field(field_text)
+    fits(field.q)
     return EllipticCurve(field, parse_element(field, a), parse_element(field, b))
 
 
@@ -116,22 +118,17 @@ def _code_text(args) -> tuple[str, str, str, int, str]:
 
 
 def _code(args, fits) -> agcode.EllipticCodeSpec:
-    """The code a command names, checked in one order: m >= 1 before the
-    curve is built; then the command's own bound fits(E, m, n), with n the
-    Hasse bound before all-minus-O enumerates its points, and with n = |D|
-    once D is known (m < n is checked with D)."""
+    """The code a command names, checked in one order: m >= 1; the command's
+    bound fits(q, m, n) with n the Hasse bound for all-minus-O, else the
+    number of --D entries; then the curve, the points of D and m < n."""
     field_text, a, b, m, d_text = _code_text(args)
     if m < 1:
         raise ValueError(f"need 0 < m < n, got m={m}")
-    E = _curve(field_text, a, b)
-    if d_text == ALL_MINUS_O:
-        fits(E, m, hasse_bound(E.field.q))
-        spec = agcode.spec_all_points(E, m)
-    else:
-        D = tuple(parse_point(E, part) for part in d_text.split(";") if part.strip())
-        spec = agcode.EllipticCodeSpec(E, D, m)
-    fits(E, m, spec.n)
-    return spec
+    parts = None if d_text == ALL_MINUS_O else [part for part in d_text.split(";") if part.strip()]
+    E = _curve(field_text, a, b, lambda q: fits(q, m, hasse_bound(q) if parts is None else len(parts)))
+    if parts is None:
+        return agcode.spec_all_points(E, m)
+    return agcode.EllipticCodeSpec(E, tuple(parse_point(E, part) for part in parts), m)
 
 
 def _header(E: EllipticCurve, **fields) -> dict:
@@ -156,11 +153,13 @@ def _add_curve_args(sub, with_m: bool = False, required: bool = True) -> None:
         sub.add_argument("--D", help="evaluation points: 'all-minus-O' or 'x,y;x,y;...'")
 
 
+def _points_fits(q: int) -> None:
+    if hasse_bound(q) > POINTS_MAX_ORDER:
+        raise SizeLimitError(f"up to {hasse_bound(q)} points exceed the listing bound {POINTS_MAX_ORDER}")
+
+
 def _cmd_points(args) -> int:
-    E = _curve(*_curve_text(args))
-    order = hasse_bound(E.field.q)
-    if order > POINTS_MAX_ORDER:
-        raise SizeLimitError(f"up to {order} points exceed the listing bound {POINTS_MAX_ORDER}")
+    E = _curve(*_curve_text(args), _points_fits)
     pts = rational_points(E)
     payload = _header(E, count=len(pts))
     text = E.field.format_element
@@ -170,7 +169,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    E = _curve(*_curve_text(args))
+    E = _curve(*_curve_text(args), require_census)
     gs = group_structure(E)
     payload = _header(
         E, order=gs.order, m1=gs.m1, m2=gs.m2, generators=[point_str(E.field, g) for g in gs.generators]
@@ -208,7 +207,7 @@ def _cmd_groupcount(args) -> int:
     return 0
 
 
-def _gen_fits(E: EllipticCurve, m: int, n: int) -> None:
+def _gen_fits(q: int, m: int, n: int) -> None:
     if m * n > GEN_MAX_ENTRIES:
         raise SizeLimitError(f"up to m * |D| = {m * n} matrix entries exceed the bound {GEN_MAX_ENTRIES}")
 
@@ -227,7 +226,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _code(args, lambda E, m, n: require_census(E.field.q))
+    spec = _code(args, lambda q, m, n: require_census(q))
     rep = stoptheory.build_report(spec, seed=args.seed)
     if args.format == "csv":
         _emit(_distribution_csv(rep.distribution), args)
@@ -259,7 +258,7 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    spec = _code(args, lambda E, m, n: agcode.require_stream(E.field.q, m, n))
+    spec = _code(args, agcode.require_stream)
     f = spec.field
     if args.codeword == "zero":
         word = [0] * spec.n

@@ -8,6 +8,8 @@ element is stored by its canonical integer value
 
 which doubles as the element's position in enumeration order: sorting by
 value is sorting by enumeration order, and value 0 is the zero element.
+An extension field multiplies, negates and inverts by discrete logs to its
+least primitive element, built at its first arithmetic, not with the field.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import SizeLimitError
 
 MAX_FIELD_SIZE = 2 ** 20  # guard on q = p^k
-_OP_TABLE_BOUND = 2 ** 10  # up to this, extension fields cache a q*q addition table and logs
+_OP_TABLE_BOUND = 2 ** 10  # up to this, an extension field keeps a q*q addition table beside its logs
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -66,8 +68,6 @@ def _poly_trim(a: list[int]) -> list[int]:
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
     return _poly_trim(out)
@@ -81,28 +81,43 @@ def _poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
         lead = r[-1]
         for i, mc in enumerate(mod):
             r[shift + i] = (r[shift + i] - lead * mc) % p
-        r = _poly_trim(r)
-    return _poly_trim(r)
+    return r  # trimmed by the loop test
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if not _poly_rem(modulus, g, p):
-                return False
-    return True
+    degrees = range(1, (len(modulus) - 1) // 2 + 1)
+    return all(_poly_rem(modulus, [*tail, 1], p) for d in degrees for tail in itertools.product(range(p), repeat=d))
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # lexicographically smallest coefficient tuple (constant first), monic
-    for tail in itertools.product(range(p), repeat=k):
-        cand = tuple(tail) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise ValueError(f"no irreducible polynomial of degree {k} over F_{p}")  # unreachable
+    monic = (tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=k))
+    return next(cand for cand in monic if _is_irreducible(cand, p))
+
+
+def _power(mul: Callable, base, e: int, one):
+    """base^e for e >= 0 by square-and-multiply, with the product mul."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        e >>= 1
+    return result
+
+
+class _ValueOp:
+    """A FieldSpec value op: the first read on an instance binds all six there."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, spec: "FieldSpec | None", owner: type | None = None):
+        if spec is None:
+            return self
+        spec.__dict__.update(_value_ops(spec))
+        return spec.__dict__[self.name]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +130,9 @@ class FieldSpec:
     modulus is the defining polynomial, length k + 1, monic, constant-first;
     it stays empty for prime fields.  When omitted for k >= 2 the
     lexicographically smallest monic irreducible polynomial is chosen, so
-    equal (p, k) pairs always name the same field.
+    equal (p, k) pairs always name the same field.  The value ops, plain
+    functions from _value_ops, are bound on the instance at the first read
+    of any, so a field is built and sized without its tables.
     """
 
     p: int
@@ -146,10 +163,9 @@ class FieldSpec:
             if not _is_irreducible(mod, self.p):
                 raise ValueError(f"modulus {mod} is reducible over F_{self.p}")
             object.__setattr__(self, "modulus", mod)
-        self.__dict__.update(_value_ops(self))
 
     def __reduce__(self):
-        # the bound value ops are closures; a copy rebuilds them
+        # the bound value ops are closures; a copy binds its own
         return FieldSpec, (self.p, self.k, self.modulus)
 
     @property
@@ -193,20 +209,12 @@ class FieldSpec:
         return v
 
     # -- arithmetic on canonical values ---------------------------------------
-    # add_val, neg_val, sub_val, mul_val, inv_val and dot_vals are plain
-    # functions bound on each instance by _value_ops; pow_val builds on them.
+    add_val, neg_val, sub_val, mul_val, inv_val, dot_vals = (_ValueOp() for _ in range(6))
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv_val(a), -e
-        result = 1 % self.q
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_val(result, base)
-            base = self.mul_val(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul_val, a, e, 1)
 
     def sqrt_vals(self, a: int) -> tuple[int, ...]:
         """All square roots of the value a, sorted, possibly empty."""
@@ -228,12 +236,10 @@ class FieldSpec:
 
 
 def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
-    """The value ops of `spec` as plain functions, by the one route its size
-    picks: `%` arithmetic in a prime field, the `_op_tables` addition table
-    and discrete logs in an extension of at most _OP_TABLE_BOUND elements,
-    and coefficient lists reduced by the modulus above that, with a Fermat
-    inverse a^(q-2).  The inverse of zero raises ZeroDivisionError on every
-    route."""
+    """The value ops of `spec`: `%` arithmetic in a prime field; in an
+    extension, products, negatives and inverses by the logs of `_op_tables`,
+    sums by its addition table, or coefficient-wise past _OP_TABLE_BOUND.
+    The inverse of zero raises ZeroDivisionError in every field."""
     p, q = spec.p, spec.q
     if spec.k == 1:
         add = lambda a, b: (a + b) % p
@@ -243,20 +249,17 @@ def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
         invert = lambda a: pow(a, -1, p)
         dot = lambda a, b: sum(map(operator.mul, a, b)) % p
     else:
-        if q <= _OP_TABLE_BOUND:
-            add_table, exp, log = _op_tables(spec)
-            minus_one = log[p - 1]  # the log of the constant -1: 0 in characteristic 2
-            add = lambda a, b: add_table[a][b]
-            neg = lambda a: a and exp[log[a] + minus_one]
-            mul = lambda a, b: a and b and exp[log[a] + log[b]]
-            invert = lambda a: exp[q - 1 - log[a]]
-        else:
-            coeffs, value_of, mod = spec.coeffs_of, spec.value_of, spec.modulus
+        add_table, exp, log = _op_tables(spec)
+        if add_table is None:
+            coeffs, value_of = spec.coeffs_of, spec.value_of
             add = lambda a, b: value_of(map(operator.add, coeffs(a), coeffs(b)))
-            neg = lambda a: value_of(map(operator.neg, coeffs(a)))
-            mul = lambda a, b: value_of(_poly_rem(_poly_mul(coeffs(a), coeffs(b), p), mod, p))
-            invert = lambda a: spec.pow_val(a, q - 2)
+        else:
+            add = lambda a, b: add_table[a][b]
+        minus_one = log[p - 1]  # the log of the constant -1: 0 in characteristic 2
+        neg = lambda a: a and exp[log[a] + minus_one]
         sub = lambda a, b: add(a, neg(b))
+        mul = lambda a, b: a and b and exp[log[a] + log[b]]
+        invert = lambda a: exp[q - 1 - log[a]]
         dot = lambda a, b: reduce(add, map(mul, a, b), 0)
 
     def inv(a: int) -> int:
@@ -269,42 +272,40 @@ def _value_ops(spec: FieldSpec) -> dict[str, Callable]:
 
 @lru_cache(maxsize=None)
 def _op_tables(spec: FieldSpec):
-    """(add, exp, log) for an extension field of at most _OP_TABLE_BOUND
-    elements: the q x q addition table, grown one coefficient at a time in
-    O(q^2) int operations; exp[e] = g^e for the primitive element g of least
-    value, listed twice so that no exponent up to 2(q - 2) needs reducing;
-    and log[g^e] = e, with log[0] = 0 never read."""
+    """(add, exp, log) for an extension field: exp[e] = g^e for the least
+    primitive g, listed twice so that no exponent up to 2(q - 2) needs
+    reducing; log[g^e] = e, with log[0] = 0 never read; the q x q addition
+    table, grown one coefficient at a time, up to _OP_TABLE_BOUND, else None."""
     q, p = spec.q, spec.p
-    # entries are taken from one list of q ints, so the table holds q int
-    # objects, not a new one for each of its q^2 entries past 256
+    # entries are taken from one list of q ints, so the tables hold q int
+    # objects, not a new one for each entry past 256
     values = list(range(q))
+    exp = [values[v] for v in _powers_of_primitive(spec)]
+    log = [0] * q
+    for e, v in enumerate(exp):
+        log[v] = values[e]
+    if q > _OP_TABLE_BOUND:
+        return None, tuple(exp + exp), tuple(log)
     digit = [[(a + b) % p for b in range(p)] for a in range(p)]
     add = digit
     for _ in range(spec.k - 1):
         # a = a0 + p * a', b = b0 + p * b': the sum is digit[a0][b0] + p * add[a'][b']
         add = [[values[d + p * h] for h in add[a // p] for d in digit[a % p]] for a in range(p * len(add))]
-    exp = _powers_of_primitive(spec)
-    log = [0] * q
-    for e, v in enumerate(exp):
-        log[v] = e
     return tuple(map(tuple, add)), tuple(exp + exp), tuple(log)
 
 
 def _powers_of_primitive(spec: FieldSpec) -> list[int]:
-    """[g^0, ..., g^(q-2)] for the generator g of F_q^* of least value."""
+    """[g^0, ..., g^(q-2)] for the generator g of F_q^* of least value.  A
+    candidate g is refused when g^((q-1)/l) = 1 for a prime l | q - 1, by
+    square-and-multiply on coefficient lists; then only g's powers are
+    walked, each step x -> x * g as the matrix whose row j is t^j * g."""
     q, p, mod = spec.q, spec.p, spec.modulus
-    for g in range(2, q):
-        step = spec.coeffs_of(g)
-        powers, x = [1], [1]
-        while len(powers) < q:
-            x = _poly_rem(_poly_mul(x, step, p), mod, p)
-            v = spec.value_of(x)
-            if v == 1:
-                break
-            powers.append(v)
-        if len(powers) == q - 1:
-            return powers
-    raise ValueError(f"F_{q} has no primitive element")  # unreachable
+    mul = lambda a, b: _poly_rem(_poly_mul(a, b, p), mod, p)
+    cofactors = [(q - 1) // l for l in factorize(q - 1)]
+    g = next(g for g in map(spec.coeffs_of, range(2, q)) if all(_power(mul, g, e, [1]) != [1] for e in cofactors))
+    cols = list(zip(*(spec.coeffs_of(spec.value_of(mul([0] * j + [1], g))) for j in range(spec.k))))
+    step = lambda x, _: [sum(map(operator.mul, x, col)) % p for col in cols]
+    return list(map(spec.value_of, itertools.accumulate(range(q - 2), step, initial=spec.coeffs_of(1))))
 
 
 @lru_cache(maxsize=None)

@@ -380,8 +380,9 @@ GOLDEN_LADDER = [
     # the reach of the group law: N = 1060, Z/2 x Z/530
     (["report", "--p", "1009", "--a", "1", "--b", "3", "--m", "4"], 0,
      "ee31e824ab9394e7afd9ed798b7bdfc27e8797fe1b6b824eb4b3f51054202f37"),
-    # the table route at its largest prime square, q = 961, and the
-    # polynomial route past the table bound, q = 1369
+    # the addition table at its largest prime square, q = 961, and
+    # coefficient-wise sums past the table bound, q = 1369; both multiply
+    # by logs
     (["points", "--field", "31,2", "--a", "1", "--b", "3"], 0,
      "5d24bf3c92eab72b9ccfb5a978a779fb8e49825bb9db93355574356dcb5d8aa8"),
     (["gen", "--field", "37,2", "--a", "1", "--b", "3", "--m", "3"], 0,
@@ -683,6 +684,8 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["points", "--p", "2305843009213693951", "--a", "1", "--b", "1"],  # the field size, before trial division
         ["points", "--field", "5,1000000000", "--a", "1", "--b", "1"],  # no 5^(10^9) formed
         ["verify", "--max-q", "1000"],  # the sweep's curve count
+        ["points", "--field", "31,4", "--a", "0", "--b", "0"],  # sized before the singular curve is built
+        ["decode", "--field", "31,4", "--a", "0", "--b", "0", "--m", "2", "--D", "1,1;2,2", "--erased", "1"],  # n = 2 entries
     ],
 )
 def test_size_bounds_exit_3(argv):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from stopset.errors import SizeLimitError
-from stopset.ffield import _OP_TABLE_BOUND, FieldSpec, field_str, parse_element, parse_field
+from stopset.ffield import _OP_TABLE_BOUND, FieldSpec, _op_tables, field_str, parse_element, parse_field
 
 
 # -- independent oracle: textbook polynomial arithmetic ----------------------
@@ -143,7 +143,7 @@ def test_sqrt_large_field_matches_euler():
 
 
 def test_inverse_of_zero_raises(f5):
-    # one field per arithmetic route: prime, q^2 tables, polynomials
+    # a prime field, an extension with the q^2 addition table, and one past it
     for spec in (f5, FieldSpec(5, 2), FieldSpec(37, 2)):
         with pytest.raises(ZeroDivisionError):
             spec.inv_val(0)
@@ -151,7 +151,8 @@ def test_inverse_of_zero_raises(f5):
 
 @pytest.mark.parametrize("p,k", [(37, 2), (11, 3), (3, 7)])
 def test_polynomial_route_matches_naive_oracle(p, k):
-    # fields past the table bound add and multiply coefficient lists
+    # fields past the table bound add coefficient lists and multiply by
+    # logs; the oracle multiplies coefficient lists
     spec = FieldSpec(p, k)
     assert spec.q > _OP_TABLE_BOUND
     rng = random.Random(p * k)
@@ -164,6 +165,19 @@ def test_polynomial_route_matches_naive_oracle(p, k):
         assert spec.coeffs_of(spec.mul_val(a, b)) == naive_poly_mul_mod(list(ca), list(cb), spec.modulus, p)
         if a:
             assert spec.mul_val(a, spec.inv_val(a)) == 1
+
+
+def test_value_ops_bind_on_first_use():
+    # a field is built and sized without its logs: 31^4 takes seconds to walk
+    before = _op_tables.cache_info()
+    spec = FieldSpec(31, 4)
+    assert spec.q == 923521 and repr(spec) == "F(31^4)"
+    assert _op_tables.cache_info() == before and "mul_val" not in vars(spec)
+    f49 = FieldSpec(7, 2)
+    assert f49.mul_val(3, 5) == 1  # 15 = 1 mod 7; the first op read binds all six
+    assert set(vars(f49)) >= {"add_val", "neg_val", "sub_val", "mul_val", "inv_val", "dot_vals"}
+    with pytest.raises(AttributeError):
+        spec.no_such_op
 
 
 def test_bound_ops_survive_pickling():

@@ -46,7 +46,7 @@ from stopset import (
 )
 from stopset.agcode import hstar_census, macwilliams_transform
 from stopset.curve import CENSUS_MAX_ORDER, hasse_bound
-from stopset.ffield import _op_tables, _poly_mul, _poly_rem, factorize
+from stopset.ffield import _OP_TABLE_BOUND, _op_tables, _poly_mul, _poly_rem, factorize
 from stopset.groupcount import subset_sum_table
 from stopset.stoptheory import count_S_m_of_spec, is_subgroup_minus_O, sample_subsets
 
@@ -464,26 +464,33 @@ def test_sampler_reaches_every_subset():
 # -- extension-field tables -------------------------------------------------------
 
 
-# characteristics 2 and 3 (in F_(2^k), -1 = 1 is not g^((q - 1)/2)), and
-# q = 2^10 = _OP_TABLE_BOUND, the largest field that takes the tables
-@pytest.mark.parametrize("p, k", [(5, 2), (7, 2), (5, 3), (11, 2), (2, 4), (2, 10), (3, 6), (5, 4)])
+# characteristics 2 and 3 (in F_(2^k), -1 = 1 is not g^((q - 1)/2)),
+# q = 2^10 = _OP_TABLE_BOUND, the largest field that takes the addition
+# table, and q = 1369 and 3125 past it, which take the logs alone
+@pytest.mark.parametrize(
+    "p, k", [(5, 2), (7, 2), (5, 3), (11, 2), (2, 4), (2, 10), (3, 6), (5, 4), (37, 2), (5, 5)]
+)
 def test_op_tables_match_polynomial_arithmetic(p, k):
     f = FieldSpec(p, k)
     q, mod = f.q, f.modulus
     add_table, exp, log = _op_tables(f)
+    assert (add_table is None) == (q > _OP_TABLE_BOUND)
     coeff_mul = lambda a, b: f.value_of(_poly_rem(_poly_mul(f.coeffs_of(a), f.coeffs_of(b), p), mod, p))
     # exp lists the powers of g twice, and they cover the nonzero values once
     assert exp[:q - 1] == exp[q - 1:] and sorted(exp[:q - 1]) == list(range(1, q))
     g = exp[1]
     for e in range(q - 1):
         assert log[exp[e]] == e and exp[e + 1] == coeff_mul(exp[e], g)
+    # g is the primitive element of least value: g^e generates F_q^* iff gcd(e, q - 1) = 1
+    assert all(math.gcd(log[v], q - 1) > 1 for v in range(2, g))
     pairs = itertools.product(range(q), repeat=2)
     if q > 125:  # q^2 pairs of polynomial products would take too long
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
     for a, b in pairs:
         ca, cb = f.coeffs_of(a), f.coeffs_of(b)
-        assert add_table[a][b] == f.add_val(a, b) == f.value_of(x + y for x, y in zip(ca, cb))
+        assert f.add_val(a, b) == f.value_of(x + y for x, y in zip(ca, cb))
+        assert add_table is None or add_table[a][b] == f.add_val(a, b)
         assert f.sub_val(a, b) == f.value_of(x - y for x, y in zip(ca, cb))
         assert f.mul_val(a, b) == coeff_mul(a, b)
     for a in range(q):
@@ -497,5 +504,7 @@ def test_op_tables_match_polynomial_arithmetic(p, k):
 def test_addition_table_holds_one_int_object_per_value():
     # q = 961: a fresh int for every entry past 256 made 676,801 objects,
     # about 28 MB, where q shared ones do
-    add_table = _op_tables(FieldSpec(31, 2))[0]
-    assert len({id(v) for row in add_table for v in row}) == 31 ** 2
+    add_table, exp, log = _op_tables(FieldSpec(31, 2))
+    shared = {id(v) for row in add_table for v in row}
+    assert len(shared) == 31 ** 2
+    assert {id(v) for v in exp + log} <= shared  # the logs draw on the same ints
