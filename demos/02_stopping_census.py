@@ -16,10 +16,10 @@ from stopset import (
     curve,
     distribution,
     enumerate_S_m,
-    enumerate_S_m1,
     scalar_mul,
     stopping_distance,
 )
+from stopset.reference import enumerate_S_m1
 
 f5 = FieldSpec(5)
 E = curve(f5, 1, 1)

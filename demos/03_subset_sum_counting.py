@@ -5,8 +5,9 @@ formula, a dynamic program over the elements, and (for special shapes)
 closed forms in binomial coefficients.
 """
 
-from stopset import AbelianGroup, count_S_m, count_formula, dp_count
+from stopset import AbelianGroup, count_S_m, count_formula
 from stopset.groupcount import closed_form_p_power, closed_form_two_primes
+from stopset.reference import dp_count
 
 G = AbelianGroup((2, 4))
 print(f"group {G}, order {G.order}, exponent {G.exponent}")

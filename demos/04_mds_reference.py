@@ -6,8 +6,8 @@ set and size n - k + 1, everything from there up.  A Reed-Solomon code
 confirms this against the definitional oracle.
 """
 
-from stopset import FieldSpec, mds_distribution, min_distance_bruteforce, null_space, rs_code
-from stopset.agcode import stopping_distribution_from_rows
+from stopset import FieldSpec, mds_distribution, min_distance_bruteforce, null_space
+from stopset.reference import rs_code, stopping_distribution_from_rows
 
 field = FieldSpec(7)
 n, k = 6, 3

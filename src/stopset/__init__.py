@@ -1,5 +1,8 @@
 """Stopping sets of codes built from elliptic curves over small finite
-fields: exact classification, counting, and matrix-level verification."""
+fields: exact classification, counting, and matrix-level verification.
+
+The slow routes that tests check these against live in stopset.reference,
+which this package does not import."""
 
 from .agcode import (
     CodeMatrix,
@@ -14,8 +17,6 @@ from .agcode import (
     null_space,
     residue_min_distance,
     rr_basis,
-    rs_code,
-    scale_columns,
     spec_all_points,
     weight_enumerator,
 )
@@ -33,7 +34,7 @@ from .curve import (
     scalar_mul,
     sum_points,
 )
-from .decoder import ErasureInstance, make_instance, peel, residual_is_stopping
+from .decoder import ErasureInstance, make_instance, peel
 from .errors import FieldMismatchError, IntegrityError, SizeLimitError
 from .ffield import FieldSpec, parse_field
 from .groupcount import (
@@ -43,7 +44,6 @@ from .groupcount import (
     closed_form_two_primes,
     count_S_m,
     count_formula,
-    dp_count,
     e_of_b,
     moebius,
     torsion_count,
@@ -57,10 +57,8 @@ from .stoptheory import (
     classify,
     distribution,
     enumerate_S_m,
-    enumerate_S_m1,
     is_subgroup_minus_O,
     oracle_agreement_check,
-    recover_S_m,
     stopping_distance,
 )
 

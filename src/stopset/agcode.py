@@ -388,13 +388,6 @@ def row_support(row: Sequence[int]) -> int:
     return sum(1 << j for j, v in enumerate(row) if v)
 
 
-def support_masks(rows: Iterable[Sequence[int]]) -> frozenset[int]:
-    """Distinct nonzero row supports as bitmasks (bit j-1 = column j)."""
-    masks = set(map(row_support, rows))
-    masks.discard(0)
-    return frozenset(masks)
-
-
 def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
     """True when no row, given by its support mask, meets the subset
     s_mask in exactly one position: the definition of a stopping set, one
@@ -404,21 +397,6 @@ def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
         if (r & s_mask).bit_count() == 1:
             return False
     return True
-
-
-def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distribution":
-    """T_i for i = 0..n by running the oracle over every subset of [n].
-
-    Definitional and exponential; guarded at n <= 20.
-    """
-    if n > 20:
-        raise SizeLimitError(f"2^{n} subsets exceed the oracle sweep bound")
-    masks = support_masks(rows)
-    counts = [0] * (n + 1)
-    for s in range(1 << n):
-        if is_stopping_set_masks(masks, s):
-            counts[s.bit_count()] += 1
-    return Distribution(tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +454,9 @@ def min_distance_bruteforce(M: CodeMatrix) -> int:
 
     A test oracle: exponential in the code dimension, so no production
     route calls it; residue codes get their distance from
-    `weight_enumerator` or the column search."""
+    `weight_enumerator` or the column search.  It stays here, not in
+    stopset.reference, because perfbench's SPANS table traces it under
+    this module's name."""
     spec = M.spec
     basis, _ = _rref(spec, M.entries)
     if not basis:
@@ -523,18 +503,7 @@ def residue_min_distance(spec: EllipticCodeSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# MDS reference family
-
-
-def rs_code(field: FieldSpec, n: int, k: int) -> CodeMatrix:
-    """Generator of the [n, k] Reed-Solomon code evaluating polynomials of
-    degree < k at the values 0, 1, ..., n - 1."""
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if n > field.q:
-        raise ValueError(f"need n <= q = {field.q} distinct evaluation points")
-    rows = tuple(tuple(field.pow_val(x, i) for x in range(n)) for i in range(k))
-    return CodeMatrix(field, rows, ROLE_GENERATOR)
+# MDS codes
 
 
 def mds_distribution(n: int, k: int) -> "Distribution":
@@ -543,21 +512,6 @@ def mds_distribution(n: int, k: int) -> "Distribution":
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     return Distribution.near_mds(n, n - k, 0)
-
-
-def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
-    """Multiply column j by the value scalars[j]; scalars must be nonzero
-    (a zero would change the code, not just its presentation)."""
-    if len(scalars) != M.ncols:
-        raise ValueError("one scalar per column required")
-    for s in scalars:
-        if not 0 <= s < M.spec.q:
-            raise FieldMismatchError("scalar outside the matrix field")
-        if s == 0:
-            raise ValueError("column scalars must be nonzero")
-    mul = M.spec.mul_val
-    ent = tuple(tuple(mul(e, s) for e, s in zip(row, scalars)) for row in M.entries)
-    return CodeMatrix(M.spec, ent, M.role)
 
 
 def _binomial_row(n: int) -> list[int]:

@@ -186,7 +186,11 @@ def rational_points(E: EllipticCurve) -> tuple[Point, ...]:
 def point_order(E: EllipticCurve, P: Point) -> int:
     """The order of P by repeated addition; the reference for the orders
     group_structure reads off the factorization of the group order.  An
-    order past the Hasse bound means broken arithmetic."""
+    order past the Hasse bound means broken arithmetic.
+
+    An oracle that no command calls.  It stays here, not in
+    stopset.reference, because perfbench's SPANS table traces it under
+    this module's name."""
     _check_point(E, P)
     limit = hasse_bound(E.field.q)
     n = 1

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .agcode import EllipticCodeSpec, generator_matrix, is_stopping_set_masks, subset_mask, support_masks
+from .agcode import EllipticCodeSpec, generator_matrix
 from .errors import FieldMismatchError, IntegrityError
 from .ffield import FieldSpec
 
@@ -102,9 +102,3 @@ def peel(rows: Iterable[Sequence[int]], instance: ErasureInstance) -> tuple[list
         pending = kept
     recovered: list[int | None] = [None if j in unknown_at else v for j, v in enumerate(values)]
     return recovered, frozenset(j + 1 for j in unknown_at)
-
-
-def residual_is_stopping(rows: Iterable[Sequence[int]], residual: Iterable[int]) -> bool:
-    """The stall certificate: the residual must be a stopping set of the
-    rows the decoder ran over."""
-    return is_stopping_set_masks(support_masks(rows), subset_mask(residual))

@@ -12,7 +12,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import IntegrityError
@@ -182,6 +181,10 @@ def subset_sum_table(
     layer above `top`; the elements must be distinct reduced coordinate
     tuples of G.  The reference for the packed DP of
     stoptheory.count_S_m_of_spec.
+
+    An oracle that no command calls.  It stays here, not in
+    stopset.reference, because perfbench's SPANS table traces it under
+    this module's name.
     """
     for g in elements:
         if G.element(g) != tuple(g):
@@ -203,14 +206,6 @@ def subset_sum_table(
                 s = tuple((a + c) % d for a, c, d in zip(coords, g, G.invariant_factors))
                 bucket[s] += cnt
     return table
-
-
-def dp_count(G: AbelianGroup, elements: Sequence[tuple[int, ...]], k: int, b: Sequence[int]) -> int:
-    """Definitional count of k-subsets of `elements` summing to b; a
-    reference, like subset_sum_table."""
-    if not 0 <= k <= len(elements):
-        raise ValueError(f"subset size {k} outside [0, {len(elements)}]")
-    return subset_sum_table(G, elements, k)[k].get(G.element(b), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +290,3 @@ def closed_form_two_primes(p1: int, t1: int, p2: int, t2: int, m: int) -> int:
     if total % N:
         raise IntegrityError(f"closed form total {total} not divisible by {N}")
     return total // N
-
-
-@lru_cache(maxsize=None)
-def all_groups_of_order(N: int) -> tuple[AbelianGroup, ...]:
-    """Every abelian group of order N, one per invariant-factor chain."""
-    if N < 1:
-        raise ValueError("order must be positive")
-
-    def chains(n: int, max_last: int) -> list[tuple[int, ...]]:
-        # chains d1 | d2 | ... with product n and last factor <= max_last
-        out = []
-        if n == 1:
-            out.append(())
-        for last in divisors(n):
-            if last < 2 or last > max_last:
-                continue
-            for rest in chains(n // last, last):
-                if not rest or last % rest[-1] == 0:
-                    out.append(rest + (last,))
-        return out
-
-    return tuple(AbelianGroup(c) for c in sorted(chains(N, N)))

@@ -174,38 +174,6 @@ def build_S_m_plus(spec: EllipticCodeSpec, S_m: Sequence[tuple[int, ...]]) -> li
     return sorted(seen)
 
 
-def enumerate_S_m1(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
-    """All size-(m+1) stopping sets: the complement of S+(m) among all
-    (m+1)-subsets.  Refuses more than SUBSET_LIMIT of them."""
-    agcode.require_subsets(spec.n, spec.m + 1)
-    blocked = set(build_S_m_plus(spec, enumerate_S_m(spec)))
-    return [A for A in combinations(range(1, spec.n + 1), spec.m + 1) if A not in blocked]
-
-
-def enumerate_S_m1_direct(spec: EllipticCodeSpec) -> list[tuple[int, ...]]:
-    """Size-(m+1) stopping sets by filtering every subset through classify;
-    the slow cross-check for enumerate_S_m1."""
-    agcode.require_subsets(spec.n, spec.m + 1)
-    return [
-        A
-        for A in combinations(range(1, spec.n + 1), spec.m + 1)
-        if classify(spec, A).is_stopping
-    ]
-
-
-def recover_S_m(spec: EllipticCodeSpec, S_plus: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Invert the extension map: each member I of S+(m) is a size-(m+1)
-    set with an interior zero, the point P_j that the whole of I sums to,
-    and dropping that j returns the size-m stopping set."""
-    out = set()
-    for I in S_plus:
-        _, j = _rule(spec, _check_indices(spec, I))
-        if j is None:
-            raise IntegrityError(f"{I} does not sum to any of its own points")
-        out.add(tuple(i for i in I if i != j))
-    return sorted(out)
-
-
 def count_S_m_of_spec(spec: EllipticCodeSpec) -> int:
     """#S(m) for the spec's own evaluation set: a subset-sum DP over the
     points' coordinates in the curve group, stopped at layer m.  Checks

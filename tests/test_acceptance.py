@@ -25,9 +25,7 @@ from stopset import (
     count_formula,
     curve,
     distribution,
-    dp_count,
     enumerate_S_m,
-    enumerate_S_m1,
     generator_matrix,
     group_structure,
     hstar_rows,
@@ -38,11 +36,8 @@ from stopset import (
     null_space,
     peel,
     rational_points,
-    recover_S_m,
     residue_min_distance,
-    rs_code,
     scalar_mul,
-    scale_columns,
     spec_all_points,
     stopping_distance,
     weight_enumerator,
@@ -51,16 +46,24 @@ from stopset.agcode import (
     ROW_LIMIT,
     is_stopping_set_masks,
     min_distance_dependent_columns,
-    stopping_distribution_from_rows,
     subset_mask,
-    support_masks,
 )
 from stopset.cli import VERIFY_MAX_ROWS
-from stopset.groupcount import all_groups_of_order, subset_sum_table
+from stopset.groupcount import subset_sum_table
 from stopset.ffield import parse_field
+from stopset.reference import (
+    all_groups_of_order,
+    dp_count,
+    enumerate_S_m1,
+    enumerate_S_m1_direct,
+    recover_S_m,
+    rs_code,
+    scale_columns,
+    stopping_distribution_from_rows,
+    support_masks,
+)
 from stopset.stoptheory import (
     build_S_m_plus,
-    enumerate_S_m1_direct,
     is_subgroup_minus_O,
     oracle_agreement_check,
 )

@@ -26,8 +26,6 @@ from stopset import (
     null_space,
     residue_min_distance,
     rr_basis,
-    rs_code,
-    scale_columns,
     spec_all_points,
     weight_enumerator,
 )
@@ -37,10 +35,9 @@ from stopset.agcode import (
     macwilliams_transform,
     matrix_rank,
     min_distance_dependent_columns,
-    stopping_distribution_from_rows,
     subset_mask,
-    support_masks,
 )
+from stopset.reference import rs_code, scale_columns, stopping_distribution_from_rows, support_masks
 
 GOLDEN_DISTRIBUTION = (1, 0, 0, 6, 40, 56, 28, 8, 1)
 

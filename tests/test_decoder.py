@@ -14,15 +14,14 @@ from stopset import (
     FieldMismatchError,
     IntegrityError,
     dual_rows,
-    enumerate_S_m1,
     generator_matrix,
     hstar_rows,
     make_instance,
     null_space,
     peel,
-    residual_is_stopping,
 )
 from stopset.cli import main
+from stopset.reference import enumerate_S_m1, residual_is_stopping
 
 STOPPING_3 = [
     (1, 2, 6), (1, 3, 5), (2, 3, 4), (3, 7, 8), (4, 6, 8), (5, 6, 7),

@@ -10,13 +10,11 @@ from stopset import (
     AbelianGroup,
     count_S_m,
     count_formula,
-    dp_count,
     e_of_b,
     moebius,
     torsion_count,
 )
 from stopset.groupcount import (
-    all_groups_of_order,
     closed_form_p_power,
     closed_form_two_power_terms,
     closed_form_two_primes,
@@ -24,6 +22,7 @@ from stopset.groupcount import (
     factorize,
     subset_sum_table,
 )
+from stopset.reference import all_groups_of_order, dp_count
 
 
 def plus(group, a, b):

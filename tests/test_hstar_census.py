@@ -29,9 +29,9 @@ from stopset.agcode import (
     hstar_census,
     is_stopping_set_masks,
     subset_mask,
-    support_masks,
 )
 from stopset.ffield import parse_field
+from stopset.reference import support_masks
 from stopset.stoptheory import is_subgroup_minus_O
 
 from conftest import nonsingular_curves

@@ -39,7 +39,6 @@ from stopset import (
     neg,
     point_order,
     rational_points,
-    recover_S_m,
     scalar_mul,
     spec_all_points,
     sum_points,
@@ -48,6 +47,7 @@ from stopset.agcode import hstar_census, macwilliams_transform
 from stopset.curve import CENSUS_MAX_ORDER, hasse_bound
 from stopset.ffield import _OP_TABLE_BOUND, _op_tables, _poly_mul, _poly_rem, factorize
 from stopset.groupcount import subset_sum_table
+from stopset.reference import recover_S_m
 from stopset.stoptheory import count_S_m_of_spec, is_subgroup_minus_O, sample_subsets
 
 from conftest import nonsingular_curves

@@ -24,24 +24,22 @@ from stopset import (
     curve,
     distribution,
     enumerate_S_m,
-    enumerate_S_m1,
     group_structure,
     hstar_support_masks,
     is_subgroup_minus_O,
     oracle_agreement_check,
     point_order,
     rational_points,
-    recover_S_m,
     scalar_mul,
     spec_all_points,
     stopping_distance,
     sum_points,
 )
 from stopset import agcode, stoptheory
+from stopset.reference import enumerate_S_m1, enumerate_S_m1_direct, recover_S_m
 from stopset.stoptheory import (
     _sum_context,
     count_S_m_of_spec,
-    enumerate_S_m1_direct,
     sample_subsets,
 )
 
