@@ -11,13 +11,13 @@ from stopset import (
     FieldSpec,
     Point,
     curve,
-    dual_rows,
     generator_matrix,
     make_instance,
     null_space,
     peel,
     scalar_mul,
 )
+from stopset.reference import dual_rows
 
 f5 = FieldSpec(5)
 E = curve(f5, 1, 1)

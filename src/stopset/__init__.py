@@ -8,7 +8,6 @@ from .agcode import (
     CodeMatrix,
     Distribution,
     EllipticCodeSpec,
-    dual_rows,
     generator_matrix,
     hstar_rows,
     hstar_support_masks,

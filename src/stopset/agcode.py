@@ -174,22 +174,18 @@ def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
 # streaming the dual codebook
 
 
-def _combination_stream(
-    spec: FieldSpec, rows: Sequence[Sequence[int]], normalized: bool
-) -> Iterator[tuple[int, ...]]:
-    """All linear combinations of `rows` as value tuples.
-
-    normalized=True yields one representative per scalar class (first
-    nonzero coefficient fixed to 1) and skips the zero combination; scaling
-    by a nonzero constant never changes a word's support, so this is enough
-    whenever only supports matter.  The full stream starts with zero and
-    yields q^len(rows) words in coefficient-odometer order.
+def _combination_stream(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """One representative per scalar class of the nonzero linear
+    combinations of `rows`, as value tuples: (q^len(rows) - 1)/(q - 1)
+    words, each with its first nonzero coefficient fixed to 1.  Scaling by
+    a nonzero constant never changes a word's support, so this is enough
+    whenever only supports matter.  The full stream of all q^m words is
+    stopset.reference.dual_rows.
     """
     q = spec.q
-    n = len(rows[0]) if rows else 0
     add, mul = spec.add_val, spec.mul_val
-    first = 2 if normalized else q  # the normalized walk reads row 0 only at c = 1
-    pre = [[tuple(mul(c, v) for v in row) for c in range(q if i else first)] for i, row in enumerate(rows)]
+    # the walk reads row 0 at c = 1 only
+    pre = [[tuple(mul(c, v) for v in row) for c in range(q if i else 2)] for i, row in enumerate(rows)]
 
     def walk(level: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(rows):
@@ -200,20 +196,9 @@ def _combination_stream(
             nxt = acc if c == 0 else tuple(map(add, acc, scaled))
             yield from walk(level + 1, nxt)
 
-    zero = (0,) * n
-    if not normalized:
-        yield from walk(0, zero)
-        return
     for lead in range(len(rows)):
         base = pre[lead][1 % q]
         yield from walk(lead + 1, base)
-
-
-def dual_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
-    """Stream all q^m words of the dual (the evaluation code) as canonical
-    value tuples, zero first, in coefficient-odometer order."""
-    _require_rows(spec.field.q, spec.m, "dual rows")
-    yield from _combination_stream(spec.field, generator_matrix(spec).entries, normalized=False)
 
 
 def hstar_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
@@ -223,10 +208,9 @@ def hstar_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
     A row c*h has the support of h, so the stopping sets of these rows are
     those of all q^m - 1 nonzero words; and c*h meets an erased set where h
     does and solves the same position with the same value, so peeling over
-    them recovers the same values and stalls on the same residual.
-    `dual_rows` still streams every word."""
+    them recovers the same values and stalls on the same residual."""
     _require_rows(spec.field.q, spec.m, "dual rows")
-    yield from _combination_stream(spec.field, generator_matrix(spec).entries, normalized=True)
+    yield from _combination_stream(spec.field, generator_matrix(spec).entries)
 
 
 @dataclass(frozen=True)
@@ -273,7 +257,7 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
         g_mask = sum(g_bits)
         scale = [spec.inv_val(v) if v else 1 for v in g]
         scaled = [tuple(map(spec.mul_val, row, scale)) for row in rows[:-1]]
-        for acc in _combination_stream(spec, scaled, normalized=True):
+        for acc in _combination_stream(spec, scaled):
             vanish: dict[int, int] = {}  # acc_j -> the coordinates with it
             for bit, value in zip(g_bits, compress(acc, on_g)):
                 vanish[value] = vanish.get(value, 0) | bit
@@ -462,7 +446,7 @@ def min_distance_bruteforce(M: CodeMatrix) -> int:
     if not basis:
         raise ValueError("zero code has no minimum distance")
     _require_rows(spec.q, len(basis), "codewords")
-    return min(len(word) - word.count(0) for word in _combination_stream(spec, basis, normalized=True))
+    return min(len(word) - word.count(0) for word in _combination_stream(spec, basis))
 
 
 def min_distance_dependent_columns(H: CodeMatrix) -> int:

@@ -25,6 +25,9 @@ Each route and the production route it checks:
                             agcode.hstar_rows assumes when it streams one
                             row per scalar class
   residual_is_stopping      decoder.peel's stall on a stopping set
+  dual_rows                 agcode.hstar_rows and hstar_census, which
+                            read H* up to scalars, and cli's fault
+                            injection, which indexes the full H*
 
 The oracles curve.point_order, groupcount.subset_sum_table and
 agcode.min_distance_bruteforce stay in their modules, because the
@@ -34,8 +37,8 @@ benchmark's span table traces them under those modules' names.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from . import agcode
 from .agcode import (
@@ -43,6 +46,7 @@ from .agcode import (
     CodeMatrix,
     Distribution,
     EllipticCodeSpec,
+    generator_matrix,
     is_stopping_set_masks,
     row_support,
     subset_mask,
@@ -146,6 +150,24 @@ def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distri
         if is_stopping_set_masks(masks, s):
             counts[s.bit_count()] += 1
     return Distribution(tuple(counts))
+
+
+def dual_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
+    """Stream all q^m words of the dual (the evaluation code) as canonical
+    value tuples, zero first, in coefficient-odometer order: the word with
+    coefficients (c_0, ..., c_(m-1)), c_0 the most significant digit, is
+    the sum of c_i G_i over the rows G_i of the generator matrix.  Its
+    q^m - 1 nonzero words are the full H*.  Guarded by the row bound."""
+    f = spec.field
+    if not agcode.rows_fit(f.q, spec.m):
+        raise SizeLimitError(f"{f.q}^{spec.m} dual rows exceed the bound {agcode.ROW_LIMIT}")
+    G = generator_matrix(spec).entries
+    for coeffs in product(range(f.q), repeat=len(G)):
+        word = (0,) * spec.n
+        for c, row in zip(coeffs, G):
+            if c:
+                word = tuple(f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row))
+        yield word
 
 
 def residual_is_stopping(rows: Iterable[Sequence[int]], residual: Iterable[int]) -> bool:

@@ -17,7 +17,6 @@ from stopset import (
     IntegrityError,
     Point,
     SizeLimitError,
-    dual_rows,
     generator_matrix,
     hstar_rows,
     hstar_support_masks,
@@ -37,7 +36,7 @@ from stopset.agcode import (
     min_distance_dependent_columns,
     subset_mask,
 )
-from stopset.reference import rs_code, scale_columns, stopping_distribution_from_rows, support_masks
+from stopset.reference import dual_rows, rs_code, scale_columns, stopping_distribution_from_rows, support_masks
 
 GOLDEN_DISTRIBUTION = (1, 0, 0, 6, 40, 56, 28, 8, 1)
 

@@ -607,12 +607,48 @@ def test_verify_corrupt_goes_through_the_oracle_check(capsys, monkeypatch):
 def test_verify_corrupt_reads_hstar_once(capsys, monkeypatch):
     from stopset import agcode
 
-    def no_census(spec):
-        raise AssertionError("--corrupt takes its clean supports from the H* rows it streams")
+    agcode.hstar_census.cache_clear()
+    census = _count_calls(monkeypatch, agcode, ("hstar_census",))
+    walked = []
+    real_stream = agcode._combination_stream
 
-    monkeypatch.setattr(agcode, "hstar_census", no_census)
+    def recorded(spec, rows):
+        walked.append(len(rows))
+        return real_stream(spec, rows)
+
+    monkeypatch.setattr(agcode, "_combination_stream", recorded)
     assert main(["verify", "--max-q", "5", "--max-m", "2", "--corrupt", "0"]) == 1
     assert json.loads(capsys.readouterr().out)["corrupted"] is True
+    # the clean supports come from one census, whose pencils walk the
+    # m - 1 = 1 rows before the last; no walk covers all m rows of G
+    assert census == {"hstar_census": 1}
+    assert walked == [1]
+
+
+def corrupted_masks_reference(supports, n, corrupt):
+    """`cli._corrupted_masks` as first written: the clean supports listed
+    from the full H*, the nonzero words of `reference.dual_rows` in order."""
+    clean = frozenset(supports)
+    entries = len(supports) * n
+    start = corrupt % len(supports) * n + corrupt % n
+    for k in range(start, start + entries):
+        row, col = divmod(k % entries, n)
+        flipped = supports[row] ^ (1 << col)
+        if flipped and flipped not in clean:
+            return clean | {flipped}
+    raise ValueError("no single-entry change alters the supports of H*")
+
+
+@pytest.mark.parametrize("which", ["F5", "F7", "F25"])
+def test_corrupted_masks_match_the_full_stream(ref_spec, f25_spec, which):
+    from stopset.agcode import row_support
+    from stopset.reference import dual_rows
+
+    spec = {"F5": ref_spec, "F7": spec_all_points(curve(FieldSpec(7), 3, 2), 2), "F25": f25_spec}[which]
+    supports = [row_support(r) for r in dual_rows(spec) if any(r)]
+    rng = random.Random(31)
+    for c in [*range(3 * spec.n), *(rng.randrange(10 ** 6) for _ in range(200))]:
+        assert cli._corrupted_masks(spec, c) == corrupted_masks_reference(supports, spec.n, c), c
 
 
 def test_verify_sweep_bound_within_the_row_bound():

@@ -13,7 +13,6 @@ from stopset import (
     ErasureInstance,
     FieldMismatchError,
     IntegrityError,
-    dual_rows,
     generator_matrix,
     hstar_rows,
     make_instance,
@@ -21,7 +20,7 @@ from stopset import (
     peel,
 )
 from stopset.cli import main
-from stopset.reference import enumerate_S_m1, residual_is_stopping
+from stopset.reference import dual_rows, enumerate_S_m1, residual_is_stopping
 
 STOPPING_3 = [
     (1, 2, 6), (1, 3, 5), (2, 3, 4), (3, 7, 8), (4, 6, 8), (5, 6, 7),

@@ -29,6 +29,7 @@ MOVED = [
     ("agcode", "rs_code"),
     ("agcode", "scale_columns"),
     ("decoder", "residual_is_stopping"),
+    ("agcode", "dual_rows"),
 ]
 
 # oracles the benchmark traces under their own modules' names
