@@ -25,14 +25,15 @@ base = Point(0, 1)
 D = tuple(scalar_mul(E, i, base) for i in range(1, 9))
 spec = EllipticCodeSpec(E, D, 3)
 
-codeword = null_space(generator_matrix(spec)).entries[0]
-rows = [r for r in dual_rows(spec) if any(r)]
+G = generator_matrix(spec)
+codeword = null_space(G).entries[0]
+rows = [r for r in dual_rows(G) if any(r)]
 print(f"codeword: {[str(c) for c in codeword]}")
 print(f"parity-check rows streamed: {len(rows)}")
 
 
 def attempt(erased):
-    inst = make_instance(spec, codeword, erased)
+    inst = make_instance(G, codeword, erased)
     recovered, residual = peel(rows, inst)
     shown = ["?" if v is None else str(v) for v in recovered]
     verdict = "recovered" if not residual else f"stalled on {sorted(residual)}"

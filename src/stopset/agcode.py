@@ -1,10 +1,11 @@
-"""Residue codes on elliptic curves and their maximal parity-check matrix.
+"""Codes given by a matrix G, and their maximal parity-check matrix.
 
-The code is C(D, m): the null space of the m x n evaluation matrix whose
-rows are the pole-order-sorted monomial basis x^i y^j (j <= 1, 2i + 3j <= m)
-evaluated on an ordered tuple D of n distinct affine points.  The maximal
-parity-check matrix H* consists of *all* q^m - 1 nonzero words of the row
-space of that evaluation matrix.  H* is streamed, never stored, and
+The matrix side takes G alone: the code is its null space, and H* is
+*all* nonzero words of its row space, so every basis of that space gives
+the same answers.  `generator_matrix` is the one bridge from a curve: the
+residue code C(D, m) is the null space of the m x n matrix evaluating the
+pole-order-sorted monomials x^i y^j (j <= 1, 2i + 3j <= m) on an ordered
+tuple D of n distinct affine points.  H* is streamed, never stored, and
 `hstar_rows` streams it up to scalars, one word per scalar class: scaling
 a row keeps its support, so the stopping sets and the peeling decoder's
 outcome are those of the full H*.
@@ -112,9 +113,9 @@ def spec_all_points(curve: EllipticCurve, m: int) -> EllipticCodeSpec:
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """A matrix over `spec` with rows of canonical field values."""
+    """A matrix over `field` with rows of canonical field values."""
 
-    spec: FieldSpec
+    field: FieldSpec
     entries: tuple[tuple[int, ...], ...]
     role: str
 
@@ -124,7 +125,7 @@ class CodeMatrix:
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        q = self.spec.q
+        q = self.field.q
         if not all(0 <= v < q for row in self.entries for v in row):
             raise FieldMismatchError("entry outside the matrix field")
 
@@ -151,12 +152,12 @@ def rr_basis(m: int) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda ij: 2 * ij[0] + 3 * ij[1])
 
 
+@lru_cache(maxsize=None)
 def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
-    """The m x n evaluation matrix of the monomial basis on D.
-
-    Its row space is the full dual of the residue code, so it doubles as a
-    (minimal) parity-check matrix of that code.
-    """
+    """The m x n evaluation matrix of the monomial basis on D, built once
+    per spec: the bridge from a spec to the matrix side.  Its m rows are
+    independent by Riemann-Roch and span the full dual of the residue code,
+    so it doubles as a (minimal) parity-check matrix of that code."""
     f = spec.field
     mul = f.mul_val
     basis = rr_basis(spec.m)
@@ -174,7 +175,7 @@ def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
 # streaming the dual codebook
 
 
-def _combination_stream(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+def _combination_stream(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """One representative per scalar class of the nonzero linear
     combinations of `rows`, as value tuples: (q^len(rows) - 1)/(q - 1)
     words, each with its first nonzero coefficient fixed to 1.  Scaling by
@@ -182,8 +183,8 @@ def _combination_stream(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> Itera
     whenever only supports matter.  The full stream of all q^m words is
     stopset.reference.dual_rows.
     """
-    q = spec.q
-    add, mul = spec.add_val, spec.mul_val
+    q = field.q
+    add, mul = field.add_val, field.mul_val
     # the walk reads row 0 at c = 1 only
     pre = [[tuple(mul(c, v) for v in row) for c in range(q if i else 2)] for i, row in enumerate(rows)]
 
@@ -201,16 +202,16 @@ def _combination_stream(spec: FieldSpec, rows: Sequence[Sequence[int]]) -> Itera
         yield from walk(lead + 1, base)
 
 
-def hstar_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
-    """Stream H* up to scalars: one normalized nonzero dual word per scalar
-    class, (q^m - 1)/(q - 1) value tuples.
+def hstar_rows(G: CodeMatrix) -> Iterator[tuple[int, ...]]:
+    """Stream H* up to scalars: the (q^m - 1)/(q - 1) normalized combinations
+    of G's m rows as given, one per scalar class when they are independent.
 
     A row c*h has the support of h, so the stopping sets of these rows are
     those of all q^m - 1 nonzero words; and c*h meets an erased set where h
     does and solves the same position with the same value, so peeling over
     them recovers the same values and stalls on the same residual."""
-    _require_rows(spec.field.q, spec.m, "dual rows")
-    yield from _combination_stream(spec.field, generator_matrix(spec).entries)
+    _require_rows(G.field.q, G.nrows, "dual rows")
+    yield from _combination_stream(G.field, G.entries)
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class DualCensus:
         return macwilliams_transform(self.dual_weights, self.q, self.dual_dim)
 
 
-def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> DualCensus:
+def _stream_census(field: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> DualCensus:
     """One representative per scalar class of the row space of the
     independent length-n `rows`, taken by pencils; scalar multiples share a
     support and a weight, so each class adds its mask once and q - 1 to its
@@ -246,7 +247,7 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
     value, and a pencil costs O(n) dictionary steps, one mask per distinct
     value, and one shared "generic" mask for the scalars at which nothing
     vanishes."""
-    q = spec.q
+    q = field.q
     bits = [1 << j for j in range(n)]
     masks = set()
     hist = [0] * (n + 1)
@@ -255,9 +256,9 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
         on_g = [bool(v) for v in g]
         g_bits = list(compress(bits, on_g))
         g_mask = sum(g_bits)
-        scale = [spec.inv_val(v) if v else 1 for v in g]
-        scaled = [tuple(map(spec.mul_val, row, scale)) for row in rows[:-1]]
-        for acc in _combination_stream(spec, scaled):
+        scale = [field.inv_val(v) if v else 1 for v in g]
+        scaled = [tuple(map(field.mul_val, row, scale)) for row in rows[:-1]]
+        for acc in _combination_stream(field, scaled):
             vanish: dict[int, int] = {}  # acc_j -> the coordinates with it
             for bit, value in zip(g_bits, compress(acc, on_g)):
                 vanish[value] = vanish.get(value, 0) | bit
@@ -277,15 +278,21 @@ def _stream_census(spec: FieldSpec, rows: Sequence[Sequence[int]], n: int) -> Du
 
 
 @lru_cache(maxsize=None)
-def hstar_census(spec: EllipticCodeSpec) -> DualCensus:
-    """Support masks and dual weight counts of H*, from one cached pass."""
-    _require_rows(spec.field.q, spec.m, "dual rows")
-    return _stream_census(spec.field, generator_matrix(spec).entries, spec.n)
+def hstar_census(G: CodeMatrix) -> DualCensus:
+    """Support masks and dual weight counts of H*, from one cached pass over
+    G's rows as given; when it meets the zero word, the rows are dependent
+    and a second pass walks a basis of their row space.  Guarded by
+    q^(rows of G) <= the row bound."""
+    _require_rows(G.field.q, G.nrows, "dual rows")
+    census = _stream_census(G.field, G.entries, G.ncols)
+    if census.dual_weights[0] > 1:  # the zero word: dependent rows
+        census = _stream_census(G.field, _rref(G.field, G.entries)[0], G.ncols)
+    return census
 
 
-def hstar_support_masks(spec: EllipticCodeSpec) -> frozenset[int]:
+def hstar_support_masks(G: CodeMatrix) -> frozenset[int]:
     """Distinct support bitmasks of H* rows (bit j-1 = column j)."""
-    return hstar_census(spec).masks
+    return hstar_census(G).masks
 
 
 # callers read the pass's cache statistics under the masks' name
@@ -337,22 +344,11 @@ def macwilliams_transform(dual_weights: Sequence[int], q: int, dual_dim: int) ->
     return tuple(A)
 
 
-def weight_enumerator(code: EllipticCodeSpec | CodeMatrix) -> tuple[int, ...]:
-    """Weight counts A_0..A_n of a code, by the MacWilliams transform of
-    its dual's weight counts.
-
-    For an EllipticCodeSpec the code is the residue code and its dual
-    counts come from the cached H* pass that also yields the stopping-set
-    masks, and the transform is cached with that pass.  For a CodeMatrix
-    the code is its null space and the dual is its row space.  Guarded by
-    q^(dual dimension) <= the row bound.
-    """
-    if isinstance(code, EllipticCodeSpec):
-        return hstar_census(code).code_weights
-    spec = code.spec
-    basis, _ = _rref(spec, code.entries)
-    _require_rows(spec.q, len(basis), "dual words")
-    return _stream_census(spec, basis, code.ncols).code_weights
+def weight_enumerator(G: CodeMatrix) -> tuple[int, ...]:
+    """Weight counts A_0..A_n of the null space of G: the MacWilliams
+    transform of the dual weight counts, cached with the H* census that
+    also yields the stopping-set masks, and guarded as that census is."""
+    return hstar_census(G).code_weights
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +383,7 @@ def is_stopping_set_masks(masks: Iterable[int], s_mask: int) -> bool:
 # linear algebra over the field, on value rows
 
 
-def _rref(spec: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _rref(field: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
@@ -398,12 +394,12 @@ def _rref(spec: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = spec.inv_val(rows[r][c])
-        rows[r] = [spec.mul_val(inv, v) for v in rows[r]]
+        inv = field.inv_val(rows[r][c])
+        rows[r] = [field.mul_val(inv, v) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [spec.sub_val(a, spec.mul_val(f, b)) for a, b in zip(rows[i], rows[r])]
+                rows[i] = [field.sub_val(a, field.mul_val(f, b)) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -412,23 +408,23 @@ def _rref(spec: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list
 
 
 def matrix_rank(M: CodeMatrix) -> int:
-    return len(_rref(M.spec, M.entries)[0])
+    return len(_rref(M.field, M.entries)[0])
 
 
 def null_space(M: CodeMatrix) -> CodeMatrix:
     """A basis of the right null space of M, as a parity-check-role matrix:
     its rows span exactly the code checked by M."""
-    spec, width = M.spec, M.ncols
-    reduced, pivots = _rref(spec, M.entries)
+    field, width = M.field, M.ncols
+    reduced, pivots = _rref(field, M.entries)
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for fc in free:
         vec = [0] * width
         vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = spec.neg_val(reduced[r][fc])
+            vec[pc] = field.neg_val(reduced[r][fc])
         basis.append(tuple(vec))
-    return CodeMatrix(spec, tuple(basis), ROLE_PARITY)
+    return CodeMatrix(field, tuple(basis), ROLE_PARITY)
 
 
 def min_distance_bruteforce(M: CodeMatrix) -> int:
@@ -441,12 +437,12 @@ def min_distance_bruteforce(M: CodeMatrix) -> int:
     `weight_enumerator` or the column search.  It stays here, not in
     stopset.reference, because perfbench's SPANS table traces it under
     this module's name."""
-    spec = M.spec
-    basis, _ = _rref(spec, M.entries)
+    field = M.field
+    basis, _ = _rref(field, M.entries)
     if not basis:
         raise ValueError("zero code has no minimum distance")
-    _require_rows(spec.q, len(basis), "codewords")
-    return min(len(word) - word.count(0) for word in _combination_stream(spec, basis))
+    _require_rows(field.q, len(basis), "codewords")
+    return min(len(word) - word.count(0) for word in _combination_stream(field, basis))
 
 
 def min_distance_dependent_columns(H: CodeMatrix) -> int:
@@ -458,8 +454,8 @@ def min_distance_dependent_columns(H: CodeMatrix) -> int:
     fewer columns would be dependent, so it is a codeword of weight w.
     Exhaustive per size, capped at rank + 1 by the Singleton bound.
     """
-    spec = H.spec
-    rows, _ = _rref(spec, H.entries)
+    field = H.field
+    rows, _ = _rref(field, H.entries)
     n = H.ncols
     r = len(rows)
     if r == n:
@@ -467,23 +463,24 @@ def min_distance_dependent_columns(H: CodeMatrix) -> int:
     for w in range(1, r + 2):
         require_subsets(n, w)
         for cols in combinations(range(n), w):
-            if len(_rref(spec, [[row[c] for c in cols] for row in rows])[0]) < w:
+            if len(_rref(field, [[row[c] for c in cols] for row in rows])[0]) < w:
                 return w
     raise ValueError("unreachable: every code has distance <= rank + 1")
 
 
-def residue_min_distance(spec: EllipticCodeSpec) -> int:
-    """Minimum distance of the residue code, by pure linear algebra.
+def residue_min_distance(G: CodeMatrix) -> int:
+    """Minimum distance of the null space of G, by pure linear algebra.
 
-    When q^m fits the row bound it is the smallest positive weight of the
-    weight enumerator, from the same H* pass as the stopping-set oracle;
-    otherwise the minimal dependent column sets of the evaluation matrix
+    When q^(rows of G) fits the row bound it is the smallest positive
+    weight of the weight enumerator, from the same H* census as the
+    stopping-set oracle; otherwise the minimal dependent column sets of G
     give it.  `min_distance_bruteforce` on the null space is the oracle.
     """
-    if rows_fit(spec.field.q, spec.m):
-        A = hstar_census(spec).code_weights
-        return next(w for w in range(1, spec.n + 1) if A[w])
-    return min_distance_dependent_columns(generator_matrix(spec))
+    if rows_fit(G.field.q, G.nrows):
+        A = hstar_census(G).code_weights
+        # a zero code has no positive weight, and the column search refuses it
+        return next((w for w in range(1, G.ncols + 1) if A[w]), None) or min_distance_dependent_columns(G)
+    return min_distance_dependent_columns(G)
 
 
 # ---------------------------------------------------------------------------

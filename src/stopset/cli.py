@@ -259,8 +259,9 @@ def _cmd_decode(args) -> int:
     else:
         word = [parse_element(f, t) for t in args.codeword.split(",")]
     erased = [_int("--erased", args.erased, i) for i in args.erased.split(",") if i.strip()]
-    instance = decoder.make_instance(spec, word, erased)
-    recovered, residual = decoder.peel(agcode.hstar_rows(spec), instance)
+    G = agcode.generator_matrix(spec)
+    instance = decoder.make_instance(G, word, erased)
+    recovered, residual = decoder.peel(agcode.hstar_rows(G), instance)
     payload = _code_header(
         spec,
         erased=sorted(instance.erased),
@@ -278,17 +279,18 @@ def _cmd_decode(args) -> int:
 
 
 def _verify_instance(spec, seed: int, corrupt: int | None) -> list[dict]:
+    G = agcode.generator_matrix(spec)
     if corrupt is not None:
-        return stoptheory.oracle_agreement_check(spec, _corrupted_masks(spec, corrupt), seed=seed)
+        return stoptheory.oracle_agreement_check(spec, _corrupted_masks(G, corrupt), seed=seed)
     # the census `report` prints, then the routes it does not take
     rep = stoptheory.build_report(spec, seed)
     mismatches = list(rep.oracle_mismatches)
     s_m = rep.S_m if rep.S_m is not None else stoptheory.enumerate_S_m(spec)
     if len(s_m) != rep.S_m_count:
         mismatches.append({"check": "s_m-listing", "enumerate": len(s_m), "dp": rep.S_m_count})
-    G = stoptheory.is_subgroup_minus_O(spec.curve, spec.D)
-    if G is not None:
-        formula = count_S_m(G, spec.m)
+    group = stoptheory.is_subgroup_minus_O(spec.curve, spec.D)
+    if group is not None:
+        formula = count_S_m(group, spec.m)
         if formula != rep.S_m_count:
             mismatches.append({"check": "distribution", "formula": formula, "dp": rep.S_m_count})
     try:
@@ -296,37 +298,36 @@ def _verify_instance(spec, seed: int, corrupt: int | None) -> list[dict]:
     except IntegrityError as exc:
         mismatches.append({"check": "disjoint-extension", "detail": str(exc)})
     try:
-        a_m = agcode.weight_enumerator(spec)[spec.m]
+        a_m = agcode.weight_enumerator(G)[spec.m]
     except IntegrityError as exc:
         # the minimum distance below reads the same enumerator
         mismatches.append({"check": "weight-enumerator", "detail": str(exc)})
         return mismatches
     if a_m != (spec.field.q - 1) * rep.S_m_count:
         mismatches.append({"check": "weight-enumerator", "A_m": a_m, "s_m_count": rep.S_m_count})
-    sd, md = rep.stopping_distance, agcode.residue_min_distance(spec)
+    sd, md = rep.stopping_distance, agcode.residue_min_distance(G)
     if sd != md:
         mismatches.append({"check": "stopping-distance", "stopping": sd, "min_distance": md})
     return mismatches
 
 
-def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
+def _corrupted_masks(G: agcode.CodeMatrix, corrupt: int) -> frozenset[int]:
     """Support masks of H* with one entry of one row altered; the fault
     injection hook behind the verification smoke test.
 
-    The rows are the q^m - 1 nonzero dual words in coefficient-odometer
-    order: row r is the sum of c_i G_i over the rows G_i of the generator
-    matrix, where c_0..c_(m-1) are the base-q digits of r + 1, c_0 the most
-    significant.  The entry starts at row `corrupt` mod #rows, column
-    `corrupt` mod n, in row-major order; a nonzero entry becomes 0 and a
-    zero entry 1, which flips that bit of the row's support.  The row's
-    q - 1 >= 4 scalar multiples keep its old support in the set, so the
-    faulty supports are the clean ones, read from the H* census, plus the
-    flipped one.  While that adds nothing, the next entry is tried instead,
-    so every `corrupt` injects a fault.  Only the rows it tries are built."""
-    clean = agcode.hstar_census(spec).masks
-    f, n = spec.field, spec.n
-    G = agcode.generator_matrix(spec).entries
-    rows = f.q ** spec.m - 1
+    The rows are the q^m - 1 nonzero words of the row space of G's m rows
+    G_i, in coefficient-odometer order: row r is the sum of c_i G_i, where
+    c_0..c_(m-1) are the base-q digits of r + 1, c_0 the most significant.
+    The entry starts at row `corrupt` mod #rows, column `corrupt` mod n, in
+    row-major order; a nonzero entry becomes 0 and a zero entry 1, which
+    flips that bit of the row's support.  The row's q - 1 >= 4 scalar
+    multiples keep its old support in the set, so the faulty supports are
+    the clean ones, read from the H* census, plus the flipped one.  While
+    that adds nothing, the next entry is tried instead, so every `corrupt`
+    injects a fault.  Only the rows it tries are built."""
+    clean = agcode.hstar_census(G).masks
+    f, n = G.field, G.ncols
+    rows = f.q ** G.nrows - 1
     entries = rows * n
     start = corrupt % rows * n + corrupt % n
     support, at = 0, None
@@ -334,7 +335,7 @@ def _corrupted_masks(spec, corrupt: int) -> frozenset[int]:
         row, col = divmod(k % entries, n)
         if row != at:
             word, digits = (0,) * n, row + 1
-            for g in reversed(G):
+            for g in reversed(G.entries):
                 digits, c = divmod(digits, f.q)
                 word = tuple(f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, g))
             support, at = agcode.row_support(word), row

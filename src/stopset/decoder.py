@@ -1,4 +1,5 @@
-"""Iterative peeling decoder for erasures.
+"""Iterative peeling decoder for erasures, for the code G checks:
+`make_instance` takes G, and `peel` rows such as `hstar_rows(G)`.
 
 Codewords, recovered words and parity-check rows hold canonical field
 values; rows are tuples, as `hstar_rows` streams them.  Any row meeting
@@ -19,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .agcode import EllipticCodeSpec, generator_matrix
+from .agcode import CodeMatrix
 from .errors import FieldMismatchError, IntegrityError
 from .ffield import FieldSpec
 
@@ -38,15 +39,15 @@ class ErasureInstance:
                 raise ValueError(f"erased position {i} outside [1, {len(self.codeword)}]")
 
 
-def make_instance(spec: EllipticCodeSpec, codeword: Sequence[int], erased: Iterable[int]) -> ErasureInstance:
-    """Validate membership: the word must be orthogonal to every row of the
-    evaluation matrix, i.e. lie in the residue code."""
+def make_instance(G: CodeMatrix, codeword: Sequence[int], erased: Iterable[int]) -> ErasureInstance:
+    """Validate membership: the word must be orthogonal to every row of G,
+    i.e. lie in the code G checks."""
     word = tuple(codeword)
-    if len(word) != spec.n:
-        raise ValueError(f"codeword length {len(word)} != n = {spec.n}")
-    instance = ErasureInstance(spec.field, word, frozenset(erased))
-    for row in generator_matrix(spec).entries:
-        if spec.field.dot_vals(row, word):
+    if len(word) != G.ncols:
+        raise ValueError(f"codeword length {len(word)} != n = {G.ncols}")
+    instance = ErasureInstance(G.field, word, frozenset(erased))
+    for row in G.entries:
+        if G.field.dot_vals(row, word):
             raise IntegrityError("word is not in the code (nonzero syndrome)")
     return instance
 
@@ -65,7 +66,7 @@ def peel(rows: Iterable[Sequence[int]], instance: ErasureInstance) -> tuple[list
     """Run peeling passes until one recovers nothing.
 
     rows holds parity-check rows as value tuples: a list or a one-shot
-    iterable such as `hstar_rows(spec)`.  It is read once; later passes
+    iterable such as `hstar_rows(G)`.  It is read once; later passes
     revisit only the rows that still met two or more erased positions.
     Returns (recovered vector, residual erased positions); unrecovered
     slots hold None.  A row is checked once, on the first visit that finds

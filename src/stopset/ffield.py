@@ -84,16 +84,39 @@ def _poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
     return r  # trimmed by the loop test
 
 
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """The monic gcd of a and b over F_p, by Euclid; [] when both are zero."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _poly_rem(b, a, p)
+    return a
+
+
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    degrees = range(1, (len(modulus) - 1) // 2 + 1)
-    return all(_poly_rem(modulus, [*tail, 1], p) for d in degrees for tail in itertools.product(range(p), repeat=d))
+    """Ben-Or's test: a monic f of degree k is irreducible iff
+    gcd(f, x^(p^d) - x) = 1 for every d <= k/2, as x^(p^d) - x is the
+    product of the monic irreducibles of degree dividing d.  x^(p^d) mod f
+    comes from x^(p^(d-1)) by one power, so each d costs O(log p) products
+    mod f and one gcd."""
+    mul = lambda a, b: _poly_rem(_poly_mul(a, b, p), modulus, p)
+    power = [0, 1]  # x^(p^d) mod f, from d = 0
+    for _ in range((len(modulus) - 1) // 2):
+        power = _power(mul, power, p, [1])
+        minus_x = power + [0] * (2 - len(power))
+        minus_x[1] = (minus_x[1] - 1) % p
+        if _poly_gcd(modulus, minus_x, p) != [1]:
+            return False
+    return True
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    # lexicographically smallest coefficient tuple (constant first), monic
-    monic = (tuple(tail) + (1,) for tail in itertools.product(range(p), repeat=k))
-    return next(cand for cand in monic if _is_irreducible(cand, p))
+    # lexicographically smallest coefficient tuple (constant first), monic;
+    # past degree 1 a zero constant term makes x a factor, so those
+    # candidates, the first p^(k-1) of the walk, are skipped untested
+    tails = itertools.product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1))
+    return next(cand for cand in (tail + (1,) for tail in tails) if _is_irreducible(cand, p))
 
 
 def _power(mul: Callable, base, e: int, one):

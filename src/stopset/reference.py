@@ -19,8 +19,10 @@ Each route and the production route it checks:
                             stoptheory.distribution and
                             agcode.mds_distribution, by the definition on
                             every subset
-  rs_code                   agcode.mds_distribution and the minimum
-                            distance routes, on Reed-Solomon codes
+  rs_code                   agcode.mds_distribution, and the H* census,
+                            the minimum distance routes and the decoder,
+                            which take its matrix as they take an
+                            elliptic code's, on Reed-Solomon codes
   scale_columns             that stopping sets depend only on supports, as
                             agcode.hstar_rows assumes when it streams one
                             row per scalar class
@@ -46,7 +48,6 @@ from .agcode import (
     CodeMatrix,
     Distribution,
     EllipticCodeSpec,
-    generator_matrix,
     is_stopping_set_masks,
     row_support,
     subset_mask,
@@ -152,19 +153,18 @@ def stopping_distribution_from_rows(rows: Iterable[Sequence], n: int) -> "Distri
     return Distribution(tuple(counts))
 
 
-def dual_rows(spec: EllipticCodeSpec) -> Iterator[tuple[int, ...]]:
-    """Stream all q^m words of the dual (the evaluation code) as canonical
+def dual_rows(G: CodeMatrix) -> Iterator[tuple[int, ...]]:
+    """Stream all q^m words of the row space of G, m rows, as canonical
     value tuples, zero first, in coefficient-odometer order: the word with
     coefficients (c_0, ..., c_(m-1)), c_0 the most significant digit, is
-    the sum of c_i G_i over the rows G_i of the generator matrix.  Its
+    the sum of c_i G_i over the rows G_i.  For independent rows its
     q^m - 1 nonzero words are the full H*.  Guarded by the row bound."""
-    f = spec.field
-    if not agcode.rows_fit(f.q, spec.m):
-        raise SizeLimitError(f"{f.q}^{spec.m} dual rows exceed the bound {agcode.ROW_LIMIT}")
-    G = generator_matrix(spec).entries
-    for coeffs in product(range(f.q), repeat=len(G)):
-        word = (0,) * spec.n
-        for c, row in zip(coeffs, G):
+    f, m = G.field, G.nrows
+    if not agcode.rows_fit(f.q, m):
+        raise SizeLimitError(f"{f.q}^{m} dual rows exceed the bound {agcode.ROW_LIMIT}")
+    for coeffs in product(range(f.q), repeat=m):
+        word = (0,) * G.ncols
+        for c, row in zip(coeffs, G.entries):
             if c:
                 word = tuple(f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row))
         yield word
@@ -197,10 +197,10 @@ def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
     if len(scalars) != M.ncols:
         raise ValueError("one scalar per column required")
     for s in scalars:
-        if not 0 <= s < M.spec.q:
+        if not 0 <= s < M.field.q:
             raise FieldMismatchError("scalar outside the matrix field")
         if s == 0:
             raise ValueError("column scalars must be nonzero")
-    mul = M.spec.mul_val
+    mul = M.field.mul_val
     ent = tuple(tuple(mul(e, s) for e, s in zip(row, scalars)) for row in M.entries)
-    return CodeMatrix(M.spec, ent, M.role)
+    return CodeMatrix(M.field, ent, M.role)

@@ -28,7 +28,7 @@ from itertools import combinations, repeat
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import agcode
-from .agcode import Distribution, EllipticCodeSpec, hstar_support_masks
+from .agcode import Distribution, EllipticCodeSpec, generator_matrix, hstar_support_masks
 from .curve import EllipticCurve, GroupStructure, Point, group_structure, hasse_bound, point_str
 from .errors import IntegrityError, SizeLimitError
 from .groupcount import AbelianGroup
@@ -395,7 +395,7 @@ def build_report(spec: EllipticCodeSpec, seed: int = 0) -> StoppingReport:
         sets = enumerate_S_m(spec)
     mismatches = None
     if agcode.rows_fit(spec.field.q, spec.m):
-        mismatches = oracle_agreement_check(spec, hstar_support_masks(spec), seed=seed)
+        mismatches = oracle_agreement_check(spec, hstar_support_masks(generator_matrix(spec)), seed=seed)
     return StoppingReport(
         spec=spec,
         group=group_structure(spec.curve),

@@ -31,7 +31,7 @@ def f7():
 @pytest.fixture
 def set_row_limit(monkeypatch):
     """Sets agcode.ROW_LIMIT for one test.  The H* census cache is emptied
-    too, since a spec cached under the real bound would skip the check."""
+    too, since a matrix cached under the real bound would skip the check."""
 
     def set_limit(limit: int) -> None:
         monkeypatch.setattr(agcode, "ROW_LIMIT", limit)

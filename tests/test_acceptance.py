@@ -248,7 +248,7 @@ def test_criterion_04(sweep_specs):
     t0 = time.monotonic()
     assert len(sweep_specs) > 100
     for spec in sweep_specs:
-        masks = hstar_support_masks(spec)
+        masks = hstar_support_masks(generator_matrix(spec))
         mismatches = oracle_agreement_check(spec, masks, seed=4)
         assert mismatches == [], f"{spec.curve}: {mismatches[:3]}"
         # the check above is a proof on clean masks; this one compares
@@ -293,8 +293,9 @@ def test_criterion_06():
 
 def test_criterion_07(ref):
     t0 = time.monotonic()
-    star = list(hstar_rows(ref))
-    codeword = null_space(generator_matrix(ref)).entries[0]
+    G = generator_matrix(ref)
+    star = list(hstar_rows(G))
+    codeword = null_space(G).entries[0]
     family = [set(s) for s in REFERENCE_S3 + enumerate_S_m1(ref)]
     shuffles = []
     for s in range(10):
@@ -304,7 +305,7 @@ def test_criterion_07(ref):
     checked = 0
     for size in range(6):
         for S in itertools.combinations(range(1, 9), size):
-            inst = make_instance(ref, codeword, S)
+            inst = make_instance(G, codeword, S)
             recovered, residual = peel(star, inst)
             blocked = any(s <= set(S) for s in family) or size >= 5
             assert (residual == frozenset()) == (not blocked), S
@@ -324,7 +325,7 @@ def test_criterion_08(ref, sweep_specs):
     assert stopping_distance(ref) == 3
     assert min_distance_bruteforce(null_space(generator_matrix(ref))) == 3
     for spec in sweep_specs:
-        assert stopping_distance(spec) == residue_min_distance(spec), spec.curve
+        assert stopping_distance(spec) == residue_min_distance(generator_matrix(spec)), spec.curve
     for field, n, k in rs_family():
         dist = mds_distribution(n, k)
         s = next(i for i in range(1, n + 1) if dist[i])
@@ -356,7 +357,7 @@ def test_criterion_09(ref):
 
 def test_criterion_10(ref):
     t0 = time.monotonic()
-    star = list(hstar_rows(ref))
+    star = list(hstar_rows(generator_matrix(ref)))
     golden = stopping_distribution_from_rows(star, ref.n)
     assert tuple(golden) == REFERENCE_DISTRIBUTION
     rng = random.Random(10)
@@ -372,10 +373,11 @@ def test_criterion_11(f5, f7):
     t0 = time.monotonic()
 
     def check(spec, oracle):
-        A = weight_enumerator(spec)
+        G = generator_matrix(spec)
+        A = weight_enumerator(G)
         assert A[spec.m] == (spec.field.q - 1) * len(enumerate_S_m(spec)), spec
         d = next(w for w in range(1, spec.n + 1) if A[w])
-        assert d == residue_min_distance(spec) == oracle(spec), spec
+        assert d == residue_min_distance(G) == oracle(spec), spec
 
     def brute(spec):
         # full codeword enumeration where it fits; 13 codes over F_7 exceed 2^22 words

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from stopset import AbelianGroup, FieldSpec, count_S_m, curve, spec_all_points
+from stopset import AbelianGroup, FieldSpec, count_S_m, curve, generator_matrix, spec_all_points
 from stopset import cli
 from stopset.cli import _command, _verify_instance, build_parser, main
 from stopset.errors import IntegrityError
@@ -303,9 +303,9 @@ def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
 
     real = agcode.weight_enumerator
 
-    def tampered(spec):
-        A = list(real(spec))
-        A[spec.m] += 1
+    def tampered(G):
+        A = list(real(G))
+        A[G.nrows] += 1
         return tuple(A)
 
     monkeypatch.setattr(agcode, "weight_enumerator", tampered)
@@ -321,7 +321,7 @@ def test_verify_weight_enumerator_mismatch(capsys, monkeypatch):
 def test_verify_broken_enumerator_is_a_mismatch(capsys, monkeypatch):
     from stopset import agcode
 
-    def broken(spec):
+    def broken(G):
         raise IntegrityError("A_0 = 2, not 1")
 
     monkeypatch.setattr(agcode, "weight_enumerator", broken)
@@ -645,10 +645,11 @@ def test_corrupted_masks_match_the_full_stream(ref_spec, f25_spec, which):
     from stopset.reference import dual_rows
 
     spec = {"F5": ref_spec, "F7": spec_all_points(curve(FieldSpec(7), 3, 2), 2), "F25": f25_spec}[which]
-    supports = [row_support(r) for r in dual_rows(spec) if any(r)]
+    G = generator_matrix(spec)
+    supports = [row_support(r) for r in dual_rows(G) if any(r)]
     rng = random.Random(31)
     for c in [*range(3 * spec.n), *(rng.randrange(10 ** 6) for _ in range(200))]:
-        assert cli._corrupted_masks(spec, c) == corrupted_masks_reference(supports, spec.n, c), c
+        assert cli._corrupted_masks(G, c) == corrupted_masks_reference(supports, spec.n, c), c
 
 
 def test_verify_sweep_bound_within_the_row_bound():
@@ -722,6 +723,8 @@ def test_verify_flags_each_counting_route(capsys, monkeypatch):
         ["verify", "--max-q", "1000"],  # the sweep's curve count
         ["points", "--field", "31,4", "--a", "0", "--b", "0"],  # sized before the singular curve is built
         ["decode", "--field", "31,4", "--a", "0", "--b", "0", "--m", "2", "--D", "1,1;2,2", "--erased", "1"],  # n = 2 entries
+        ["points", "--field", "2,20", "--a", "1", "--b", "1"],  # the modulus search, before the listing bound
+        ["structure", "--field", "3,12", "--a", "1", "--b", "1"],  # the modulus search, before the census bound
     ],
 )
 def test_size_bounds_exit_3(argv):

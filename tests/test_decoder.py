@@ -29,7 +29,7 @@ STOPPING_3 = [
 
 @pytest.fixture(scope="module")
 def star_rows(ref_spec):
-    return list(hstar_rows(ref_spec))
+    return list(hstar_rows(generator_matrix(ref_spec)))
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +38,14 @@ def codeword(ref_spec):
 
 
 def test_full_recovery(ref_spec, star_rows, codeword):
-    inst = make_instance(ref_spec, codeword, {1, 2, 3})
+    inst = make_instance(generator_matrix(ref_spec), codeword, {1, 2, 3})
     recovered, residual = peel(star_rows, inst)
     assert residual == frozenset()
     assert tuple(recovered) == codeword
 
 
 def test_stall_on_stopping_set(ref_spec, star_rows, codeword):
-    inst = make_instance(ref_spec, codeword, {1, 2, 6})
+    inst = make_instance(generator_matrix(ref_spec), codeword, {1, 2, 6})
     recovered, residual = peel(star_rows, inst)
     assert residual == {1, 2, 6}
     for j, e in enumerate(recovered, start=1):
@@ -60,7 +60,7 @@ def test_stall_on_stopping_set(ref_spec, star_rows, codeword):
 
 def test_peel_to_maximal_stopping_subset(ref_spec, star_rows, codeword):
     # of the four erased positions only {2, 3, 4} is a stopping set
-    inst = make_instance(ref_spec, codeword, {2, 3, 4, 5})
+    inst = make_instance(generator_matrix(ref_spec), codeword, {2, 3, 4, 5})
     recovered, residual = peel(star_rows, inst)
     assert residual == {2, 3, 4}
     assert recovered[4] == codeword[4]
@@ -87,7 +87,7 @@ def test_recovery_iff_no_stopping_subset(ref_spec, star_rows, codeword):
 
 
 def test_row_order_never_changes_residual(ref_spec, star_rows, codeword):
-    inst = make_instance(ref_spec, codeword, {2, 3, 4, 5})
+    inst = make_instance(generator_matrix(ref_spec), codeword, {2, 3, 4, 5})
     baseline = peel(star_rows, inst)[1]
     rng = random.Random(3)
     for _ in range(10):
@@ -101,7 +101,7 @@ def test_minimal_check_matrix_may_need_more_passes(ref_spec, codeword):
     # row 0 meets both erasures, so it is kept for a second pass, which a
     # one-shot stream must allow as well
     rows = generator_matrix(ref_spec).values()
-    inst = make_instance(ref_spec, codeword, {1, 2})
+    inst = make_instance(generator_matrix(ref_spec), codeword, {1, 2})
     _, residual = peel(rows, inst)
     assert residual == frozenset() or residual_is_stopping(rows, residual)
     assert peel(iter(rows), inst) == (list(codeword), frozenset())
@@ -109,12 +109,12 @@ def test_minimal_check_matrix_may_need_more_passes(ref_spec, codeword):
 
 def test_make_instance_validation(ref_spec, codeword, f5):
     with pytest.raises(ValueError):
-        make_instance(ref_spec, codeword[:5], {1})
+        make_instance(generator_matrix(ref_spec), codeword[:5], {1})
     corrupted = (f5.add_val(codeword[0], 1),) + codeword[1:]
     with pytest.raises(IntegrityError):
-        make_instance(ref_spec, corrupted, {1})
+        make_instance(generator_matrix(ref_spec), corrupted, {1})
     zero = (0,) * 8
-    assert make_instance(ref_spec, zero, {2}).erased == {2}
+    assert make_instance(generator_matrix(ref_spec), zero, {2}).erased == {2}
 
 
 def test_erased_positions_validated(codeword, f5):
@@ -134,7 +134,8 @@ def test_peel_flags_noncodeword(ref_spec, star_rows, codeword, f5):
 
 
 def test_stream_rows_are_int_tuples(ref_spec):
-    for stream in (dual_rows(ref_spec), hstar_rows(ref_spec)):
+    G = generator_matrix(ref_spec)
+    for stream in (dual_rows(G), hstar_rows(G)):
         for row in stream:
             assert type(row) is tuple and len(row) == ref_spec.n
             assert all(type(v) is int for v in row)
@@ -150,14 +151,15 @@ def test_one_shot_and_list_agree(ref_spec, f25_spec, which):
         c = rng.randrange(1, f.q)
         word = [f.add_val(w, f.mul_val(c, v)) for w, v in zip(word, row)]
     codeword = tuple(word)
-    star = list(hstar_rows(spec))
-    full = [r for r in dual_rows(spec) if any(r)]
+    G = generator_matrix(spec)
+    star = list(hstar_rows(G))
+    full = [r for r in dual_rows(G) if any(r)]
     outcomes = set()
     for size in range(spec.n + 1):
         for S in itertools.combinations(range(1, spec.n + 1), size):
-            inst = make_instance(spec, codeword, S)
+            inst = make_instance(G, codeword, S)
             recovered, residual = peel(star, inst)
-            assert peel(hstar_rows(spec), inst) == (recovered, residual), S
+            assert peel(hstar_rows(G), inst) == (recovered, residual), S
             # one row per scalar class peels as every nonzero dual word does
             assert peel(full, inst) == (recovered, residual), S
             assert residual <= inst.erased

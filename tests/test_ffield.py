@@ -1,12 +1,24 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 
 import pytest
 
 from stopset.errors import SizeLimitError
-from stopset.ffield import _OP_TABLE_BOUND, FieldSpec, _op_tables, field_str, parse_element, parse_field
+from stopset.ffield import (
+    _OP_TABLE_BOUND,
+    FieldSpec,
+    _is_irreducible,
+    _op_tables,
+    _poly_rem,
+    _smallest_irreducible,
+    field_str,
+    is_prime,
+    parse_element,
+    parse_field,
+)
 
 
 # -- independent oracle: textbook polynomial arithmetic ----------------------
@@ -214,6 +226,32 @@ def test_auto_modulus_is_lexicographically_smallest():
     assert FieldSpec(3, 2).modulus == (1, 0, 1)  # t^2 + 1
     # constant-first tuples: (1,0,0,1) = t^4 + t^3 + 1 precedes t^4 + t + 1
     assert FieldSpec(2, 4).modulus == (1, 0, 0, 1, 1)
+
+
+def irreducible_by_trial_division(modulus, p):
+    """The reference: no monic polynomial of degree 1..deg/2 divides the modulus."""
+    degrees = range(1, (len(modulus) - 1) // 2 + 1)
+    return all(_poly_rem(modulus, [*tail, 1], p) for d in degrees for tail in itertools.product(range(p), repeat=d))
+
+
+def smallest_irreducible_by_trial_division(p, k):
+    monic = (tail + (1,) for tail in itertools.product(range(p), repeat=k))
+    return next(cand for cand in monic if irreducible_by_trial_division(cand, p))
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 5), (5, 4)])
+def test_ben_or_matches_trial_division(p, top):
+    for k in range(top + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            modulus = (*tail, 1)
+            assert _is_irreducible(modulus, p) == irreducible_by_trial_division(modulus, p), modulus
+
+
+def test_smallest_irreducible_matches_trial_division():
+    pairs = [(p, k) for p in range(2, 2 ** 12 + 1) if is_prime(p) for k in range(1, 13) if p ** k <= 2 ** 12]
+    assert len(pairs) == 564 + 40  # every prime up to 2^12, and the 40 higher powers
+    for p, k in pairs:
+        assert _smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
 
 
 def test_parse_and_format_roundtrip():

@@ -24,6 +24,7 @@ from stopset import (
     curve,
     distribution,
     enumerate_S_m,
+    generator_matrix,
     group_structure,
     hstar_support_masks,
     is_subgroup_minus_O,
@@ -212,7 +213,7 @@ def test_rank_two_subgroup_found():
 
 
 def test_oracle_agreement_clean(ref_spec, monkeypatch):
-    masks = hstar_support_masks(ref_spec)
+    masks = hstar_support_masks(generator_matrix(ref_spec))
     assert oracle_agreement_check(ref_spec, masks) == []
     monkeypatch.setattr(stoptheory, "SAMPLE_CAP", 10)
     assert oracle_agreement_check(ref_spec, masks, seed=3) == []
@@ -220,7 +221,7 @@ def test_oracle_agreement_clean(ref_spec, monkeypatch):
 
 def test_oracle_agreement_flags_foreign_masks(ref_spec):
     # a weight-1 row on column 1 unstops every subset holding position 1
-    found = oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1})
+    found = oracle_agreement_check(ref_spec, hstar_support_masks(generator_matrix(ref_spec)) | {1})
     assert found
     for rec in found:
         assert 1 in rec["subset"] and rec["classify"] and not rec["oracle"]
@@ -400,7 +401,7 @@ def test_settled_check_equals_every_size_check(field_text, monkeypatch):
                 if field.q ** m > 3000:
                     break
                 spec = EllipticCodeSpec(E, D, m)
-                clean = hstar_support_masks(spec)
+                clean = hstar_support_masks(generator_matrix(spec))
                 assert stoptheory._zero_sets_settle(spec, clean), (E, kind, m)
                 for label, masks in perturbed_masks(clean, spec.n, m, rng):
                     if label.endswith("-short"):
@@ -417,7 +418,7 @@ def test_settled_check_equals_every_size_check(field_text, monkeypatch):
 def test_zero_sets_settle_needs_both_conditions(ref_spec):
     n, m = ref_spec.n, ref_spec.m
     full = (1 << n) - 1
-    clean = hstar_support_masks(ref_spec)
+    clean = hstar_support_masks(generator_matrix(ref_spec))
     assert stoptheory._zero_sets_settle(ref_spec, clean)
     # a row vanishing at m + 1 positions
     assert not stoptheory._zero_sets_settle(ref_spec, clean | {full ^ 0b1111})
@@ -446,7 +447,7 @@ def test_oracle_check_rejects_masks_outside_the_columns(ref_spec, bad):
     # n = 8.  Beside the clean masks the last would settle: its 9 bits
     # leave no zero set, so only the range check refuses it
     assert ref_spec.n == 8
-    for masks in ({bad}, hstar_support_masks(ref_spec) | {bad}):
+    for masks in ({bad}, hstar_support_masks(generator_matrix(ref_spec)) | {bad}):
         with pytest.raises(ValueError, match="outside the 8 columns"):
             oracle_agreement_check(ref_spec, masks)
 
@@ -461,7 +462,7 @@ def test_settled_check_samples_no_subsets(ref_spec, monkeypatch):
 
     monkeypatch.setattr(stoptheory, "sample_subsets", recording)
     m = ref_spec.m
-    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec), seed=1) == []
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(generator_matrix(ref_spec)), seed=1) == []
     assert sizes == []
-    assert oracle_agreement_check(ref_spec, hstar_support_masks(ref_spec) | {1}, seed=1)
+    assert oracle_agreement_check(ref_spec, hstar_support_masks(generator_matrix(ref_spec)) | {1}, seed=1)
     assert sizes == [m - 1, m, m + 1, m + 2]
