@@ -31,9 +31,6 @@ ROW_LIMIT = 2 ** 22  # q^m guard for streaming the full dual codebook
 STREAM_LIMIT = 2 ** 27  # q^m * n guard on the entries of the full H* stream
 SUBSET_LIMIT = 10 ** 6
 
-ROLE_GENERATOR = "generator"
-ROLE_PARITY = "parity-check"
-
 
 def rows_fit(q: int, dim: int) -> bool:
     """True when the q^dim words of a dim-dimensional space fit the row
@@ -117,11 +114,8 @@ class CodeMatrix:
 
     field: FieldSpec
     entries: tuple[tuple[int, ...], ...]
-    role: str
 
     def __post_init__(self) -> None:
-        if self.role not in (ROLE_GENERATOR, ROLE_PARITY):
-            raise ValueError(f"unknown role {self.role!r}")
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
@@ -168,7 +162,7 @@ def generator_matrix(spec: EllipticCodeSpec) -> CodeMatrix:
         for _ in range(top):
             powers.append(mul(powers[-1], P.x))
         columns.append([mul(powers[i], P.y) if j else powers[i] for i, j in basis])
-    return CodeMatrix(f, tuple(zip(*columns)), ROLE_GENERATOR)
+    return CodeMatrix(f, tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,7 @@ def matrix_rank(M: CodeMatrix) -> int:
 
 
 def null_space(M: CodeMatrix) -> CodeMatrix:
-    """A basis of the right null space of M, as a parity-check-role matrix:
+    """A basis of the right null space of M, a parity-check matrix:
     its rows span exactly the code checked by M."""
     field, width = M.field, M.ncols
     reduced, pivots = _rref(field, M.entries)
@@ -424,7 +418,7 @@ def null_space(M: CodeMatrix) -> CodeMatrix:
         for r, pc in enumerate(pivots):
             vec[pc] = field.neg_val(reduced[r][fc])
         basis.append(tuple(vec))
-    return CodeMatrix(field, tuple(basis), ROLE_PARITY)
+    return CodeMatrix(field, tuple(basis))
 
 
 def min_distance_bruteforce(M: CodeMatrix) -> int:

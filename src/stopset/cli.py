@@ -82,9 +82,9 @@ def _code_text(args) -> tuple[str, str, str, int, str]:
         if args.m is None:
             raise ValueError("need --m (or --spec)")
         return (*_curve_text(args), args.m, ALL_MINUS_O if args.D is None else args.D)
-    for flag in ("p", "field", "a", "b", "m", "D"):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"the code is named twice: --spec and --{flag}")
+    for flag in _CODE:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"the code is named twice: --spec and {flag}")
     with open(args.spec) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -135,16 +135,6 @@ def _header(E: EllipticCurve, **fields) -> dict:
 def _code_header(spec: agcode.EllipticCodeSpec, **fields) -> dict:
     """The head of `gen`, `report` and `decode`: the curve's, then m and n."""
     return _header(spec.curve, m=spec.m, n=spec.n, **fields)
-
-
-def _add_curve_args(sub, with_m: bool = False, required: bool = True) -> None:
-    sub.add_argument("--p", type=int, help="prime field characteristic (shorthand for --field p)")
-    sub.add_argument("--field", help="field as 'p', 'p,k' or 'p,k,c0.c1...ck'")
-    sub.add_argument("--a", required=required, help="curve coefficient a")
-    sub.add_argument("--b", required=required, help="curve coefficient b")
-    if with_m:
-        sub.add_argument("--m", type=int, required=required, help="pole bound at infinity")
-        sub.add_argument("--D", help="evaluation points: 'all-minus-O' or 'x,y;x,y;...'")
 
 
 def _points_fits(q: int) -> None:
@@ -212,7 +202,7 @@ def _cmd_gen(args) -> int:
     payload = _code_header(
         spec,
         D=[point_str(spec.field, P) for P in spec.D],
-        role=M.role,
+        role="generator",
         matrix=[[spec.field.format_element(e) for e in row] for row in M.entries],
     )
     _emit(payload, args)
@@ -404,135 +394,110 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _groupcount_args(sp) -> None:
-    sp.add_argument("--group", required=True, help="cyclic factors, e.g. 2x4")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--target", default="", help="coordinates, e.g. 0,2 (default identity)")
+# A flag's argparse keywords, limited to the five _read models: type,
+# required, default, choices and help.
+_CURVE = {
+    "--p": {"type": int, "help": "prime field characteristic (shorthand for --field p)"},
+    "--field": {"help": "field as 'p', 'p,k' or 'p,k,c0.c1...ck'"},
+    "--a": {"required": True, "help": "curve coefficient a"},
+    "--b": {"required": True, "help": "curve coefficient b"},
+}
+_CODE = {
+    **_CURVE,
+    "--m": {"type": int, "required": True, "help": "pole bound at infinity"},
+    "--D": {"help": "evaluation points: 'all-minus-O' or 'x,y;x,y;...'"},
+}
+_SEED = {"type": int, "default": 0}
+_FORMAT = {"choices": ("json", "csv"), "default": "json"}
 
-
-def _report_args(sp) -> None:
-    _add_curve_args(sp, with_m=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _verify_args(sp) -> None:
-    sp.add_argument("--max-q", type=int, default=7)
-    sp.add_argument("--max-m", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--corrupt", type=int, default=None, help="fault injection: alter one dual entry")
-
-
-def _mds_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _decode_args(sp) -> None:
-    _add_curve_args(sp, with_m=True, required=False)
-    sp.add_argument("--spec", help="JSON file with field/a/b/m/D instead of flags")
-    sp.add_argument("--erased", required=True, help="positions, e.g. 1,2,6")
-    sp.add_argument("--codeword", default="zero", help="'zero' or comma-separated elements")
-
-
-# name -> (help, a function that adds the command's arguments but --out, handler)
+# name -> (help, {flag: keywords}, handler); every command also takes --out
 _COMMANDS = {
-    "points": ("list the rational points of a curve", _add_curve_args, _cmd_points),
-    "structure": ("invariant factors of the curve group", _add_curve_args, _cmd_structure),
-    "groupcount": ("count k-subsets of G\\{0} with a given sum", _groupcount_args, _cmd_groupcount),
-    "gen": ("emit the evaluation (dual generator) matrix", lambda sp: _add_curve_args(sp, with_m=True), _cmd_gen),
-    "report": ("full stopping-set census for one code", _report_args, _cmd_report),
-    "verify": ("sweep small curves: classification vs oracle vs formulas", _verify_args, _cmd_verify),
-    "mds": ("stopping-set distribution of an MDS [n, k] code", _mds_args, _cmd_mds),
-    "decode": ("peel erasures over the full dual codebook", _decode_args, _cmd_decode),
+    name: (help_text, {**flags, "--out": {}}, func)
+    for name, (help_text, flags, func) in {
+        "points": ("list the rational points of a curve", _CURVE, _cmd_points),
+        "structure": ("invariant factors of the curve group", _CURVE, _cmd_structure),
+        "groupcount": ("count k-subsets of G\\{0} with a given sum", {
+            "--group": {"required": True, "help": "cyclic factors, e.g. 2x4"},
+            "--k": {"type": int, "required": True},
+            "--target": {"default": "", "help": "coordinates, e.g. 0,2 (default identity)"},
+        }, _cmd_groupcount),
+        "gen": ("emit the evaluation (dual generator) matrix", _CODE, _cmd_gen),
+        "report": ("full stopping-set census for one code", {**_CODE, "--seed": _SEED, "--format": _FORMAT}, _cmd_report),
+        "verify": ("sweep small curves: classification vs oracle vs formulas", {
+            "--max-q": {"type": int, "default": 7},
+            "--max-m": {"type": int, "default": 3},
+            "--seed": _SEED,
+            "--corrupt": {"type": int, "help": "fault injection: alter one dual entry"},
+        }, _cmd_verify),
+        "mds": ("stopping-set distribution of an MDS [n, k] code", {
+            "--n": {"type": int, "required": True},
+            "--k": {"type": int, "required": True},
+            "--format": _FORMAT,
+        }, _cmd_mds),
+        "decode": ("peel erasures over the full dual codebook", {
+            **{flag: {**kw, "required": False} for flag, kw in _CODE.items()},
+            "--spec": {"help": "JSON file with field/a/b/m/D instead of flags"},
+            "--erased": {"required": True, "help": "positions, e.g. 1,2,6"},
+            "--codeword": {"default": "zero", "help": "'zero' or comma-separated elements"},
+        }, _cmd_decode),
+    }.items()
 }
 
 
-class _Flags:
-    """A command's flags, recorded from the add_argument and set_defaults
-    calls that declare them on the tree, and a read of plain argv by them.
-
-    parse(tokens) returns the argparse.Namespace the command's subparser
-    builds from tokens when they are `--flag value` pairs, every flag an
-    exact declared option string given once, no value starting with '-',
-    and every value and string default passing its type and choices, with
-    every required flag present.  Otherwise it returns None and the caller
-    lets the tree parse: help, usage errors, abbreviations, `--flag=value`,
-    option-like values and repeated flags."""
-
-    _MODELLED = {"type", "required", "default", "choices", "help"}
-
-    def __init__(self) -> None:
-        self.flags: dict[str, tuple] = {}  # option string -> (dest, type, required, default, choices)
-        self.defaults: dict = {}
-        self.plain = True  # every declaration is of a kind parse models
-
-    def add_argument(self, flag: str, *more: str, **kw) -> None:
-        self.plain &= not more and flag.startswith("--") and kw.keys() <= self._MODELLED
-        dest = flag.lstrip("-").replace("-", "_")
-        self.flags[flag] = (dest, kw.get("type"), kw.get("required", False), kw.get("default"), kw.get("choices"))
-
-    def set_defaults(self, **kw) -> None:
-        self.defaults.update(kw)
-
-    def parse(self, tokens: list[str]) -> argparse.Namespace | None:
-        given = dict(zip(tokens[::2], tokens[1::2]))
-        if not self.plain or len(tokens) != 2 * len(given) or not given.keys() <= self.flags.keys():
-            return None  # a stray or dangling token, a repeated flag, or a flag not declared as written
-        args = argparse.Namespace()
-        for flag, (dest, type_, required, default, choices) in self.flags.items():
-            if flag in given:
-                text = given[flag]
-                if text.startswith("-"):
-                    return None
-            elif required:
+def _read(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the command's subparser builds from tokens when they
+    are `--flag value` pairs: every flag declared exactly as written and
+    given once, no value starting with '-', every value passing its type
+    and choices, every required flag present.  Otherwise None, and main
+    lets the tree parse."""
+    _, flags, func = _COMMANDS[name]
+    given = dict(zip(tokens[::2], tokens[1::2]))
+    if len(tokens) != 2 * len(given) or not given.keys() <= flags.keys():
+        return None  # a stray or dangling token, a repeated flag, or a flag not declared as written
+    args = argparse.Namespace(command=name, func=func)
+    for flag, kw in flags.items():
+        text = given.get(flag)
+        if text is None:
+            if kw.get("required"):
                 return None
-            elif isinstance(default, str):
-                text, choices = default, None  # argparse converts a string default but checks no choice
-            else:
-                setattr(args, dest, default)
-                continue
+            value = kw.get("default")  # unconverted: no typed flag has a str default
+        elif text.startswith("-"):
+            return None
+        else:
             try:
-                value = text if type_ is None else type_(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = kw["type"](text) if "type" in kw else text
+            except ValueError:
                 return None
-            if choices is not None and value not in choices:
+            if "choices" in kw and value not in kw["choices"]:
                 return None
-            setattr(args, dest, value)
-        vars(args).update(self.defaults)
-        # two declarations of one name are argparse's to resolve
-        return args if len(vars(args)) == len(self.flags) + len(self.defaults) else None
-
-
-def _command(name: str, sp):
-    """Declare one command's flags on sp: a subparser of the whole tree, or
-    the _Flags that main reads plain argv with."""
-    _, add_args, func = _COMMANDS[name]
-    add_args(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(command=name, func=func)
-    return sp
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree; main builds it only when _Flags.parse
-    declines the argv."""
+    """The whole command tree, built from _COMMANDS.  main builds it only
+    when _read declines the argv: for help, usage errors, abbreviations,
+    `--flag=value`, option-like values and repeated flags."""
     parser = argparse.ArgumentParser(
         prog="stopset",
         description="Stopping sets of codes from elliptic curves over small finite fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _command(name, sub.add_parser(name, help=help_text))
+    for name, (help_text, flags, func) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kw in flags.items():
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(command=name, func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Plain `--flag value` argv
+    is read by _read from the flag table; anything it declines goes to the
+    argparse tree build_parser makes from the same table."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _command(argv[0], _Flags()).parse(argv[1:]) if argv and argv[0] in _COMMANDS else None
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:
-        # help, usage errors and the forms the plain read declines
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -44,7 +44,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import agcode
 from .agcode import (
-    ROLE_GENERATOR,
     CodeMatrix,
     Distribution,
     EllipticCodeSpec,
@@ -188,7 +187,7 @@ def rs_code(field: FieldSpec, n: int, k: int) -> CodeMatrix:
     if n > field.q:
         raise ValueError(f"need n <= q = {field.q} distinct evaluation points")
     rows = tuple(tuple(field.pow_val(x, i) for x in range(n)) for i in range(k))
-    return CodeMatrix(field, rows, ROLE_GENERATOR)
+    return CodeMatrix(field, rows)
 
 
 def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
@@ -203,4 +202,4 @@ def scale_columns(M: CodeMatrix, scalars: Sequence[int]) -> CodeMatrix:
             raise ValueError("column scalars must be nonzero")
     mul = M.field.mul_val
     ent = tuple(tuple(mul(e, s) for e, s in zip(row, scalars)) for row in M.entries)
-    return CodeMatrix(M.field, ent, M.role)
+    return CodeMatrix(M.field, ent)

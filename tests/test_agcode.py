@@ -147,7 +147,6 @@ def test_reference_distribution(ref_spec):
 def test_null_space_is_orthogonal_complement(ref_spec):
     G = generator_matrix(ref_spec)
     C = null_space(G)
-    assert C.role == "parity-check"
     assert matrix_rank(C) + matrix_rank(G) == ref_spec.n
     f = ref_spec.field
     for h in hstar_rows(G):
@@ -196,7 +195,7 @@ def test_dependent_columns_against_bruteforce():
                 zero = rng.randrange(ncols)
                 for row in rows:
                     row[zero] = 0
-            H = CodeMatrix(f, tuple(map(tuple, rows)), "parity-check")
+            H = CodeMatrix(f, tuple(map(tuple, rows)))
             rank = matrix_rank(H)
             seen["rank-deficient"] += rank < nrows
             seen["zero-column"] += any(not any(col) for col in zip(*rows))
@@ -213,7 +212,7 @@ def test_dependent_columns_against_bruteforce():
 
 
 def test_min_distance_guards(f5, monkeypatch, set_row_limit):
-    one_row = CodeMatrix(f5, ((1, 1, 1, 1),), "generator")
+    one_row = CodeMatrix(f5, ((1, 1, 1, 1),))
     assert min_distance_bruteforce(one_row) == 4
     set_row_limit(2)
     with pytest.raises(SizeLimitError):
@@ -221,7 +220,7 @@ def test_min_distance_guards(f5, monkeypatch, set_row_limit):
     monkeypatch.setattr(agcode, "SUBSET_LIMIT", 1)
     with pytest.raises(SizeLimitError):
         min_distance_dependent_columns(one_row)
-    eye = CodeMatrix(f5, ((1, 0), (0, 1)), "generator")
+    eye = CodeMatrix(f5, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
         min_distance_dependent_columns(eye)  # full rank checks only the zero code
 
@@ -384,13 +383,11 @@ def test_size_guards(ref_spec, set_row_limit):
 
 def test_matrix_validation(f5, f7):
     with pytest.raises(ValueError):
-        CodeMatrix(f5, ((1,), (1, 2)), "generator")
-    with pytest.raises(ValueError):
-        CodeMatrix(f5, ((1,),), "mystery")
+        CodeMatrix(f5, ((1,), (1, 2)))
     with pytest.raises(FieldMismatchError):
-        CodeMatrix(f5, ((f7.q - 1,),), "generator")  # a value of F_7, not of F_5
+        CodeMatrix(f5, ((f7.q - 1,),))  # a value of F_7, not of F_5
     with pytest.raises(FieldMismatchError):
-        CodeMatrix(f5, ((-1,),), "generator")
+        CodeMatrix(f5, ((-1,),))
 
 
 def mds_weights(q, n, k):

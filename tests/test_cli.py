@@ -13,7 +13,7 @@ import pytest
 
 from stopset import AbelianGroup, FieldSpec, count_S_m, curve, generator_matrix, spec_all_points
 from stopset import cli
-from stopset.cli import _command, _verify_instance, build_parser, main
+from stopset.cli import _read, _verify_instance, build_parser, main
 from stopset.errors import IntegrityError
 
 REF = ["--p", "5", "--a", "1", "--b", "1"]
@@ -438,12 +438,11 @@ def tree_subparsers():
 def test_one_command_parser_matches_the_tree(name):
     # the read knows every flag the tree's subparser declares but -h
     sub = tree_subparsers()[name]
-    flags = _command(name, cli._Flags()).flags
-    assert flags.keys() == {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+    assert cli._COMMANDS[name][1].keys() == {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
     ladder = [argv for argv, _, _ in GOLDEN_LADDER if argv[0] == name]
     assert ladder
     for argv in ladder:
-        args = _command(name, cli._Flags()).parse(argv[1:])
+        args = _read(name, argv[1:])
         assert args is not None, argv
         assert vars(args) == vars(build_parser().parse_args(argv))
 
@@ -486,7 +485,7 @@ def test_usage_errors_match_the_tree(capsys, argv, code):
 )
 def test_forms_the_read_declines_print_what_the_plain_form_prints(capsys, argv, plain):
     # the tree parses these; the read hands them over untouched
-    assert _command("report", cli._Flags()).parse(argv) is None
+    assert _read("report", argv) is None
     assert main(["report", *argv]) == 0
     declined = capsys.readouterr()
     assert main(["report", *plain]) == 0
@@ -551,7 +550,7 @@ def test_the_read_gives_the_tree_namespace_or_declines(capsys, name):
             want = tree.parse_args(argv)
         except SystemExit:
             want = None  # a usage error, exit 2, or help, exit 0
-        got = _command(name, cli._Flags()).parse(argv[1:])
+        got = _read(name, argv[1:])
         assert got is None or got == want, argv
         read += got is not None
         declined += got is None and want is not None
@@ -560,21 +559,19 @@ def test_the_read_gives_the_tree_namespace_or_declines(capsys, name):
     assert read >= 50 and declined >= 10, (read, declined)
 
 
-def test_the_read_follows_declarations_no_command_makes_yet():
-    # a typed string default is converted as argparse converts it
-    flags, parser = cli._Flags(), argparse.ArgumentParser()
-    for sp in (flags, parser):
-        sp.add_argument("--n", type=int, default="7")
-        sp.set_defaults(command="x")
-    assert flags.parse([]) == parser.parse_args([]) == argparse.Namespace(n=7, command="x")
-    # a kind of flag the read does not model, or a default set on a flag's
-    # name, leaves the whole parse to argparse
-    flags.add_argument("--v", action="store_true")
-    assert flags.parse(["--n", "3"]) is None
-    flags = cli._Flags()
-    flags.add_argument("--n")
-    flags.set_defaults(n="1")
-    assert flags.parse(["--n", "3"]) is None
+def test_every_flag_is_a_declaration_the_read_models():
+    # one `--` option string per flag, keywords among the five the read
+    # models, an int type that fails by ValueError, no typed str default for
+    # argparse to convert, and one dest per flag, none of them the two the
+    # tree sets by default
+    for name, (_, flags, _) in cli._COMMANDS.items():
+        dests = {flag[2:].replace("-", "_") for flag in flags}
+        assert len(dests) == len(flags) and not dests & {"command", "func"}, name
+        for flag, kw in flags.items():
+            assert flag.startswith("--") and len(flag) > 2, (name, flag)
+            assert kw.keys() <= {"type", "required", "default", "choices", "help"}, (name, flag)
+            assert kw.get("type", int) is int, (name, flag)
+            assert not ("type" in kw and isinstance(kw.get("default"), str)), (name, flag)
 
 
 def test_a_clean_call_builds_no_tree(capsys, monkeypatch):

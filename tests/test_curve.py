@@ -340,3 +340,55 @@ def test_points_print_in_the_field_text_form():
     with pytest.raises(ValueError, match=r"^2\.1,0\.0 is not on"):
         add(E, off, P)
     assert not E.is_on_curve(Point(25, 0))  # values stay below q
+
+
+def frobenius_lift_count(p: int, t: int, k: int) -> int:
+    """#E(F_(p^k)) from the trace t = p + 1 - #E(F_p): p^k + 1 - s_k, with
+    s_0 = 2, s_1 = t and s_j = t s_(j-1) - p s_(j-2), the power sums of the
+    Frobenius eigenvalues."""
+    s_prev, s = 2, t
+    for _ in range(k - 1):
+        s_prev, s = s, t * s - p * s_prev
+    return p ** k + 1 - s
+
+
+def frobenius_pairs():
+    """(curve over F_p, k): every curve over F_5 at k = 2, 3, 4 and over F_7
+    at k = 2, 3, then eight seeded curves per prime 11..31 at k = 2."""
+    pairs = [(E, k) for p, ks in ((5, (2, 3, 4)), (7, (2, 3))) for E in nonsingular_curves(FieldSpec(p)) for k in ks]
+    rng = random.Random(6)
+    for p in (11, 13, 17, 19, 23, 29, 31):
+        curves = nonsingular_curves(FieldSpec(p))
+        pairs += [(E, 2) for E in rng.sample(curves, 8)]
+    return pairs
+
+
+def lifted_count(E, k: int) -> int:
+    # a and b are values of F_p < p, and so the same values of F_(p^k)
+    return len(rational_points(EllipticCurve(FieldSpec(E.field.p, k), E.a, E.b)))
+
+
+def test_point_counts_follow_the_frobenius_lift():
+    pairs = frobenius_pairs()
+    assert len(pairs) == 200
+    for E, k in pairs:
+        p = E.field.p
+        t = p + 1 - len(rational_points(E))
+        assert lifted_count(E, k) == frobenius_lift_count(p, t, k), (E, k)
+
+
+def test_a_lost_square_root_passes_hasse_and_fails_the_lift(monkeypatch):
+    # y^2 = x^3 + x + 1 has 9 points over F_5, so t = -3 and 27 over F_25
+    E, f25 = curve(FieldSpec(5), 1, 1), FieldSpec(5, 2)
+    assert frobenius_lift_count(5, 6 - len(rational_points(E)), 2) == lifted_count(E, 2) == 27
+    y = rational_points(EllipticCurve(f25, 1, 1))[1].y
+    ffield = importlib.import_module("stopset.ffield")
+    table, clean = list(ffield._sqrt_table(f25)), ffield._sqrt_table
+    table[f25.mul_val(y, y)] = tuple(r for r in table[f25.mul_val(y, y)] if r != y)
+    monkeypatch.setattr(ffield, "_sqrt_table", lambda spec: tuple(table) if spec == f25 else clean(spec))
+    rational_points.cache_clear()
+    try:
+        N = lifted_count(E, 2)  # no IntegrityError: the Hasse check passes
+    finally:
+        rational_points.cache_clear()
+    assert (N - 26) ** 2 <= 4 * 25 and N != 27

@@ -21,7 +21,6 @@ from stopset import (
     weight_enumerator,
 )
 from stopset.agcode import (
-    ROLE_GENERATOR,
     _combination_stream,
     _rref,
     _stream_census,
@@ -181,7 +180,7 @@ def test_combination_stream_matches_the_full_table(text, count):
 
 def test_weight_enumerator_of_a_zero_rank_matrix():
     field = FieldSpec(5)
-    M = CodeMatrix(field, ((0, 0, 0), (0, 0, 0)), ROLE_GENERATOR)
+    M = CodeMatrix(field, ((0, 0, 0), (0, 0, 0)))
     assert weight_enumerator(M) == tuple(math.comb(3, w) * 4 ** w for w in range(4))
 
 
@@ -189,7 +188,7 @@ def test_weight_enumerator_of_a_one_row_matrix():
     field = FieldSpec(5)
     # the code checked by (1, 2, 0) is {(x, y, z) : x + 2y = 0}: 5 words
     # with x = y = 0, 20 with x, y nonzero and z any
-    M = CodeMatrix(field, ((1, 2, 0),), ROLE_GENERATOR)
+    M = CodeMatrix(field, ((1, 2, 0),))
     assert weight_enumerator(M) == (1, 4, 4, 16)
 
 

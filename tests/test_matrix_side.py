@@ -31,7 +31,7 @@ from stopset import (
     spec_all_points,
     weight_enumerator,
 )
-from stopset.agcode import ROLE_GENERATOR, _rref, hstar_census, is_stopping_set_masks, matrix_rank, subset_mask
+from stopset.agcode import _rref, hstar_census, is_stopping_set_masks, matrix_rank, subset_mask
 from stopset.cli import main
 from stopset.ffield import parse_field
 from stopset.reference import rs_code
@@ -87,7 +87,7 @@ def test_each_command_evaluates_G_once_per_spec(monkeypatch):
 
 
 def test_a_zero_code_has_no_distance():
-    G = CodeMatrix(FieldSpec(5), ((1, 0), (0, 1)), ROLE_GENERATOR)
+    G = CodeMatrix(FieldSpec(5), ((1, 0), (0, 1)))
     assert weight_enumerator(G) == (1, 0, 0)
     with pytest.raises(ValueError, match="zero code"):
         residue_min_distance(G)
@@ -136,7 +136,7 @@ def test_grs_codes_run_through_the_matrix_side(text):
 
 def column_rank(G: CodeMatrix, cols) -> int:
     sub = tuple(tuple(row[j - 1] for j in cols) for row in G.entries)
-    return matrix_rank(CodeMatrix(G.field, sub, ROLE_GENERATOR))
+    return matrix_rank(CodeMatrix(G.field, sub))
 
 
 def stopping_by_rank(G: CodeMatrix, S: tuple[int, ...]) -> bool:
@@ -193,9 +193,9 @@ def other_bases(G: CodeMatrix, rng: random.Random) -> dict[str, CodeMatrix]:
     )
     extra = tuple(map(f.add_val, G.entries[0], G.entries[-1]))
     return {
-        "rref": CodeMatrix(f, tuple(map(tuple, _rref(f, G.entries)[0])), ROLE_GENERATOR),
-        "mix": CodeMatrix(f, mixed, ROLE_GENERATOR),
-        "dependent": CodeMatrix(f, G.entries + (extra,), ROLE_GENERATOR),
+        "rref": CodeMatrix(f, tuple(map(tuple, _rref(f, G.entries)[0]))),
+        "mix": CodeMatrix(f, mixed),
+        "dependent": CodeMatrix(f, G.entries + (extra,)),
     }
 
 
